@@ -51,29 +51,6 @@ impl AnalysisDb {
         AnalysisDb { num_signals, ..AnalysisDb::default() }
     }
 
-    /// The live mask SBIF should scan under: the configured root cone,
-    /// with every primary input and constant driver forced live.
-    ///
-    /// Inputs and constants stay live even outside the cone because
-    /// Alg. 1 legitimately merges them into classes (a constraint-forced
-    /// input collapses onto a constant, for example) and the final
-    /// classes must not depend on which outputs were sliced on.
-    /// Returns an empty vector (= no mask) when the cone pass did not
-    /// run.
-    pub fn sbif_live_mask(&self, nl: &Netlist) -> Vec<bool> {
-        if self.live.is_empty() {
-            return Vec::new();
-        }
-        let mut mask = self.live.clone();
-        for s in nl.signals() {
-            let g = nl.gate(s);
-            if g.is_input() || g.is_const() {
-                mask[s.index()] = true;
-            }
-        }
-        mask
-    }
-
     /// Number of live signals (0 when the cone pass did not run).
     pub fn live_count(&self) -> usize {
         self.live.iter().filter(|&&b| b).count()

@@ -273,24 +273,4 @@ mod tests {
         };
         assert_eq!(run(), run());
     }
-
-    #[test]
-    fn live_mask_keeps_inputs_and_constants() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let unused = nl.input("unused");
-        let zero = nl.const0();
-        let g = nl.not(a);
-        let dead = nl.and(unused, g);
-        nl.add_output("o", g);
-        let db = analyze(&nl, &AnalysisConfig::default(), &Recorder::new());
-        let mask = db.sbif_live_mask(&nl);
-        assert!(mask[a.index()] && mask[g.index()]);
-        // Outside the cone, but inputs/constants must stay scannable.
-        assert!(mask[unused.index()]);
-        assert!(mask[zero.index()]);
-        assert!(!mask[dead.index()]);
-        // The raw cone mask still records them as dead.
-        assert!(!db.live[unused.index()]);
-    }
 }

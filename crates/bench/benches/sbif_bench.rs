@@ -14,7 +14,7 @@
 
 use sbif_bench::bench_json;
 use sbif_bench::harness::Harness;
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_netlist::build::nonrestoring_divider;
 use sbif_trace::json::Value;
 use std::collections::BTreeMap;
@@ -30,6 +30,7 @@ fn bench_sbif(c: &mut Harness) {
                     Some(div.constraint),
                     &sim,
                     SbifConfig::default(),
+                    &SbifHooks::default(),
                 );
                 assert!(stats.proven > 0);
                 std::hint::black_box(classes);
@@ -55,6 +56,7 @@ fn write_det_artifact() {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            &SbifHooks::default(),
         );
         let key = |metric: &str| format!("n{n}.{metric}");
         det.insert(key("candidates"), Value::Int(stats.candidates as i64));

@@ -5,7 +5,7 @@
 //! time difference is pure scheduling.
 
 use sbif_bench::harness::Harness;
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_netlist::build::nonrestoring_divider;
 
 fn bench_sbif_parallel(c: &mut Harness) {
@@ -17,14 +17,20 @@ fn bench_sbif_parallel(c: &mut Harness) {
         Some(div.constraint),
         &sim,
         SbifConfig::default(),
+        &SbifHooks::default(),
     );
     for jobs in [1usize, 2, 4, 8] {
         // Check determinism once, untimed: the per-signal class-equality
         // sweep is O(signals) of assertion work that would otherwise
         // pollute the measured loop.
         let cfg = SbifConfig { jobs, ..SbifConfig::default() };
-        let (classes, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+        let (classes, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            &SbifHooks::default(),
+        );
         assert!(stats.proven > 0);
         for s in div.netlist.signals() {
             assert_eq!(classes.rep(s), baseline.rep(s), "jobs={jobs} diverged");
@@ -32,8 +38,13 @@ fn bench_sbif_parallel(c: &mut Harness) {
         c.bench_function(&format!("sbif_parallel_n{n}_jobs{jobs}"), |b| {
             b.iter(|| {
                 let cfg = SbifConfig { jobs, ..SbifConfig::default() };
-                let (classes, stats) =
-                    forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+                let (classes, stats) = forward_information(
+                    &div.netlist,
+                    Some(div.constraint),
+                    &sim,
+                    cfg,
+                    &SbifHooks::default(),
+                );
                 std::hint::black_box((classes, stats));
             })
         });

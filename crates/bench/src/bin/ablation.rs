@@ -8,7 +8,7 @@
 //! Usage: `ablation [n]` (default 8).
 
 use sbif_core::rewrite::{BackwardRewriter, RewriteConfig};
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_core::spec::divider_spec;
 use sbif_netlist::build::nonrestoring_divider;
 use std::time::Instant;
@@ -25,7 +25,13 @@ fn main() {
         let sim = divider_sim_words(&div, 1, 2);
         let cfg = SbifConfig { window_depth: depth, ..SbifConfig::default() };
         let t = Instant::now();
-        let (classes, stats) = forward_information(nl, Some(div.constraint), &sim, cfg);
+        let (classes, stats) = forward_information(
+            nl,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            &SbifHooks::default(),
+        );
         let sbif_t = t.elapsed();
         let t = Instant::now();
         let outcome = BackwardRewriter::new(nl)
@@ -54,8 +60,13 @@ fn main() {
     println!("{:>6} | {:>10} | {:>8} | {:>8}", "words", "candidates", "refuted", "#equiv");
     for words in [1usize, 2, 4, 8] {
         let sim = divider_sim_words(&div, 1, words);
-        let (_, stats) =
-            forward_information(nl, Some(div.constraint), &sim, SbifConfig::default());
+        let (_, stats) = forward_information(
+            nl,
+            Some(div.constraint),
+            &sim,
+            SbifConfig::default(),
+            &SbifHooks::default(),
+        );
         println!(
             "{words:>6} | {:>10} | {:>8} | {:>8}",
             stats.candidates, stats.refuted, stats.proven
@@ -64,8 +75,13 @@ fn main() {
 
     println!("\n-- atomic blocks (with SBIF classes) --");
     let sim = divider_sim_words(&div, 1, 2);
-    let (classes, _) =
-        forward_information(nl, Some(div.constraint), &sim, SbifConfig::default());
+    let (classes, _) = forward_information(
+        nl,
+        Some(div.constraint),
+        &sim,
+        SbifConfig::default(),
+        &SbifHooks::default(),
+    );
     for blocks in [true, false] {
         let t = Instant::now();
         let r = BackwardRewriter::new(nl)

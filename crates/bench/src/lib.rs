@@ -16,7 +16,7 @@ pub mod harness;
 
 use sbif_cec::{sat_cec, sweep_cec, CecResult, SweepConfig};
 use sbif_core::rewrite::{BackwardRewriter, RewriteConfig};
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_core::spec::divider_spec;
 use sbif_core::vc2::{check_vc2, Vc2Config};
 use sbif_core::VerifyError;
@@ -92,8 +92,13 @@ pub fn fig4_peak(n: usize, use_sbif: bool, term_limit: usize) -> Option<usize> {
     }
     let div = nonrestoring_divider(n);
     let sim = divider_sim_words(&div, 0xD1_71DE5, 2);
-    let (classes, _) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, SbifConfig::default());
+    let (classes, _) = forward_information(
+        &div.netlist,
+        Some(div.constraint),
+        &sim,
+        SbifConfig::default(),
+        &SbifHooks::default(),
+    );
     let sp = divider_spec(&div);
     match BackwardRewriter::new(&div.netlist)
         .with_classes(&classes)
@@ -207,8 +212,13 @@ pub fn table2_row(n: usize, cfg: Table2Config) -> Table2Row {
     // Columns 5–6: SBIF.
     let t = Instant::now();
     let sim = divider_sim_words(&div, 0xD1_71DE5, 2);
-    let (classes, sbif_stats) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, SbifConfig::default());
+    let (classes, sbif_stats) = forward_information(
+        &div.netlist,
+        Some(div.constraint),
+        &sim,
+        SbifConfig::default(),
+        &SbifHooks::default(),
+    );
     let sbif = t.elapsed();
 
     // Column 7: modified backward rewriting.

@@ -33,13 +33,15 @@ mod sat_cec;
 mod sweep;
 mod vc2_sat;
 
-pub use sat_cec::{sat_cec, sat_cec_with};
+pub use sat_cec::sat_cec;
 pub use sweep::{sweep_cec, SweepConfig};
-pub use vc2_sat::{vc2_sat, vc2_sat_with};
+pub use vc2_sat::vc2_sat;
 
 use sbif_check::{certify_unsat, CertOutcome, CertStats, DratStep};
 use sbif_netlist::{Netlist, Sig};
-use sbif_sat::SolverStats;
+use sbif_sat::{Budget, NetlistEncoder, SolveResult, Solver, SolverStats};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Verdict of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +65,7 @@ pub struct CecStats {
     /// Counterexamples fed back into simulation (sweeping only).
     pub refinements: usize,
     /// DRAT certificates of the UNSAT answers, when certification was
-    /// requested (see [`sat_cec_with`]).
+    /// requested (see [`vc2_sat`]).
     pub cert: CertStats,
     /// CDCL counters totalled over every SAT query of the check. Note
     /// that both baselines run under *wall-clock* budgets, so unlike the
@@ -82,9 +84,49 @@ pub struct CecOutcome {
     pub stats: CecStats,
 }
 
+/// Asks whether output `out` of `nl` can be 1, with one monolithic SAT
+/// query over its cone: UNSAT is [`CecResult::Equivalent`], a model is
+/// a named-input counterexample, and an exhausted `budget` or a raised
+/// `interrupt` flag is [`CecResult::Unknown`]. With `certify`, an UNSAT
+/// answer is replayed through the independent DRAT checker and recorded
+/// in [`CecStats::cert`].
+fn solve_miter(
+    nl: &Netlist,
+    out: Sig,
+    budget: Budget,
+    certify: bool,
+    interrupt: Option<Arc<AtomicBool>>,
+) -> CecOutcome {
+    let mut solver = Solver::new();
+    if certify {
+        solver.enable_proof_log();
+    }
+    if let Some(flag) = interrupt {
+        solver.set_interrupt(flag);
+    }
+    let mut enc = NetlistEncoder::new(nl);
+    enc.encode_cone(&mut solver, nl, out);
+    let lit = enc.lit(&mut solver, out);
+    let mut cert = CertStats::default();
+    let result = match solver.solve_with(&[lit], budget) {
+        SolveResult::Unsat => {
+            if certify {
+                cert.record(&certify_solver_unsat(&solver));
+            }
+            CecResult::Equivalent
+        }
+        SolveResult::Sat => CecResult::NotEquivalent(model_counterexample(nl, &solver, &enc)),
+        SolveResult::Unknown => CecResult::Unknown,
+    };
+    CecOutcome {
+        result,
+        stats: CecStats { sat_checks: 1, cert, solver: solver.stats(), ..CecStats::default() },
+    }
+}
+
 /// Replays the UNSAT answer of a proof-logging solver through the
 /// independent DRAT checker of `sbif-check`.
-pub(crate) fn certify_solver_unsat(solver: &sbif_sat::Solver) -> CertOutcome {
+fn certify_solver_unsat(solver: &Solver) -> CertOutcome {
     let proof = solver.proof().expect("certify requires enable_proof_log()");
     let steps: Vec<DratStep> = proof
         .steps()
@@ -105,8 +147,8 @@ pub(crate) fn certify_solver_unsat(solver: &sbif_sat::Solver) -> CertOutcome {
 /// Extracts a named-input counterexample from a solver model.
 pub(crate) fn model_counterexample(
     nl: &Netlist,
-    solver: &sbif_sat::Solver,
-    enc: &sbif_sat::NetlistEncoder,
+    solver: &Solver,
+    enc: &NetlistEncoder,
 ) -> Vec<(String, bool)> {
     nl.inputs()
         .iter()

@@ -1,8 +1,8 @@
 //! The plain-SAT baseline (Table II, col. 2).
 
-use crate::{certify_solver_unsat, model_counterexample, CecOutcome, CecResult, CecStats};
+use crate::{solve_miter, CecOutcome};
 use sbif_netlist::Netlist;
-use sbif_sat::{Budget, NetlistEncoder, SolveResult, Solver};
+use sbif_sat::Budget;
 
 /// Checks that output `output` of `nl` is constant 0 with one monolithic
 /// SAT query — the MiniSat flow of the paper's evaluation.
@@ -11,50 +11,16 @@ use sbif_sat::{Budget, NetlistEncoder, SolveResult, Solver};
 ///
 /// Panics if `nl` has no output of that name.
 pub fn sat_cec(nl: &Netlist, output: &str, budget: Budget) -> CecOutcome {
-    sat_cec_with(nl, output, budget, false)
-}
-
-/// [`sat_cec`], optionally replaying an `Equivalent` (UNSAT) answer
-/// through the independent DRAT checker; the outcome is recorded in
-/// [`CecStats::cert`].
-///
-/// # Panics
-///
-/// Panics if `nl` has no output of that name.
-pub fn sat_cec_with(nl: &Netlist, output: &str, budget: Budget, certify: bool) -> CecOutcome {
     let out = nl
         .output(output)
         .unwrap_or_else(|| panic!("netlist has no output named {output:?}"));
-    let mut solver = Solver::new();
-    if certify {
-        solver.enable_proof_log();
-    }
-    let mut enc = NetlistEncoder::new(nl);
-    enc.encode_cone(&mut solver, nl, out);
-    let lit = enc.lit(&mut solver, out);
-    let mut cert = crate::CertStats::default();
-    let result = match solver.solve_with(&[lit], budget) {
-        SolveResult::Unsat => {
-            if certify {
-                cert.record(&certify_solver_unsat(&solver));
-            }
-            CecResult::Equivalent
-        }
-        SolveResult::Sat => {
-            CecResult::NotEquivalent(model_counterexample(nl, &solver, &enc))
-        }
-        SolveResult::Unknown => CecResult::Unknown,
-    };
-    CecOutcome {
-        result,
-        stats: CecStats { sat_checks: 1, cert, solver: solver.stats(), ..CecStats::default() },
-    }
+    solve_miter(nl, out, budget, false, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay_counterexample;
+    use crate::{replay_counterexample, CecResult};
     use sbif_netlist::build::{divider_miter, miter, nonrestoring_divider, restoring_divider};
     use std::time::Duration;
 
@@ -67,22 +33,6 @@ mod tests {
             let outcome = sat_cec(&m, "miter", Budget::new());
             assert_eq!(outcome.result, CecResult::Equivalent, "n={n}");
         }
-    }
-
-    #[test]
-    fn certified_equivalence_is_checked() {
-        let n = 3;
-        let a = nonrestoring_divider(n);
-        let b = restoring_divider(n);
-        let m = divider_miter(&a.netlist, &b.netlist, n);
-        let outcome = sat_cec_with(&m, "miter", Budget::new(), true);
-        assert_eq!(outcome.result, CecResult::Equivalent);
-        assert_eq!(outcome.stats.cert.checked, 1);
-        assert!(outcome.stats.cert.all_accepted());
-        assert!(outcome.stats.cert.steps_logged > 0, "a real refutation logs lemmas");
-        // Without certification nothing is recorded.
-        let plain = sat_cec(&m, "miter", Budget::new());
-        assert_eq!(plain.stats.cert, crate::CertStats::default());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! [`NetlistEncoder`] cone encoding, counterexample extraction and
 //! DRAT certification all apply unchanged.
 
-use crate::{certify_solver_unsat, model_counterexample, CecOutcome, CecResult, CecStats};
+use crate::{solve_miter, CecOutcome};
 use sbif_netlist::build::Divider;
 use sbif_netlist::{Netlist, Sig};
-use sbif_sat::{Budget, NetlistEncoder, SolveResult, Solver};
+use sbif_sat::Budget;
 
 /// Appends a little-endian unsigned `a < b` ripple comparator to `nl`
 /// (shorter word zero-extended), returning the comparison signal.
@@ -53,16 +53,11 @@ fn vc2_miter(div: &Divider) -> Netlist {
 /// Checks vc2 (`C → 0 ≤ R < D`) with one bounded SAT query.
 /// `Equivalent` means the condition holds; `NotEquivalent` carries a
 /// replayable input assignment violating it; `Unknown` means the
-/// budget ran out first.
-pub fn vc2_sat(div: &Divider, budget: Budget) -> CecOutcome {
-    vc2_sat_with(div, budget, false, None)
-}
-
-/// [`vc2_sat`], optionally replaying an UNSAT answer through the
-/// independent DRAT checker (recorded in [`CecStats::cert`]) and/or
-/// polling a cooperative `interrupt` flag (the wall-clock watchdog
-/// hook; a raised flag surfaces as [`CecResult::Unknown`]).
-pub fn vc2_sat_with(
+/// budget ran out first, or the cooperative `interrupt` flag (the
+/// wall-clock watchdog hook) was raised. With `certify`, an UNSAT
+/// answer is replayed through the independent DRAT checker (recorded
+/// in [`crate::CecStats::cert`]).
+pub fn vc2_sat(
     div: &Divider,
     budget: Budget,
     certify: bool,
@@ -70,37 +65,13 @@ pub fn vc2_sat_with(
 ) -> CecOutcome {
     let nl = vc2_miter(div);
     let out = nl.output("vc2_miter").expect("vc2_miter was just added");
-    let mut solver = Solver::new();
-    if certify {
-        solver.enable_proof_log();
-    }
-    if let Some(flag) = interrupt {
-        solver.set_interrupt(flag);
-    }
-    let mut enc = NetlistEncoder::new(&nl);
-    enc.encode_cone(&mut solver, &nl, out);
-    let lit = enc.lit(&mut solver, out);
-    let mut cert = crate::CertStats::default();
-    let result = match solver.solve_with(&[lit], budget) {
-        SolveResult::Unsat => {
-            if certify {
-                cert.record(&certify_solver_unsat(&solver));
-            }
-            CecResult::Equivalent
-        }
-        SolveResult::Sat => CecResult::NotEquivalent(model_counterexample(&nl, &solver, &enc)),
-        SolveResult::Unknown => CecResult::Unknown,
-    };
-    CecOutcome {
-        result,
-        stats: CecStats { sat_checks: 1, cert, solver: solver.stats(), ..CecStats::default() },
-    }
+    solve_miter(&nl, out, budget, certify, interrupt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay_counterexample;
+    use crate::{replay_counterexample, CecResult};
     use sbif_netlist::build::nonrestoring_divider;
     use sbif_netlist::Word;
 
@@ -108,7 +79,7 @@ mod tests {
     fn correct_dividers_satisfy_vc2_by_sat() {
         for n in [2usize, 3, 4] {
             let div = nonrestoring_divider(n);
-            let outcome = vc2_sat(&div, Budget::new());
+            let outcome = vc2_sat(&div, Budget::new(), false, None);
             assert_eq!(outcome.result, CecResult::Equivalent, "n={n}");
             assert_eq!(outcome.stats.sat_checks, 1);
         }
@@ -117,10 +88,13 @@ mod tests {
     #[test]
     fn certified_vc2_sat_is_checked() {
         let div = nonrestoring_divider(3);
-        let outcome = vc2_sat_with(&div, Budget::new(), true, None);
+        let outcome = vc2_sat(&div, Budget::new(), true, None);
         assert_eq!(outcome.result, CecResult::Equivalent);
         assert_eq!(outcome.stats.cert.checked, 1);
         assert!(outcome.stats.cert.all_accepted());
+        // Without certification nothing is recorded.
+        let plain = vc2_sat(&div, Budget::new(), false, None);
+        assert_eq!(plain.stats.cert, crate::CertStats::default());
     }
 
     #[test]
@@ -131,7 +105,7 @@ mod tests {
         let mut bits = div.remainder.bits().to_vec();
         bits[0] = div.netlist.not(bits[0]);
         div.remainder = Word::new(bits);
-        let outcome = vc2_sat(&div, Budget::new());
+        let outcome = vc2_sat(&div, Budget::new(), false, None);
         match outcome.result {
             CecResult::NotEquivalent(cex) => {
                 let nl = vc2_miter(&div);
@@ -145,7 +119,7 @@ mod tests {
     #[test]
     fn tiny_budget_reports_unknown() {
         let div = nonrestoring_divider(8);
-        let outcome = vc2_sat(&div, Budget::new().with_conflicts(1));
+        let outcome = vc2_sat(&div, Budget::new().with_conflicts(1), false, None);
         assert_eq!(outcome.result, CecResult::Unknown);
     }
 }

@@ -1,6 +1,6 @@
 //! Measures the SCA-side Table II columns (read / #equiv / SBIF / rewrite).
 use sbif_core::rewrite::BackwardRewriter;
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_core::spec::divider_spec;
 use sbif_netlist::build::nonrestoring_divider;
 use sbif_netlist::io::{read_bnet, write_bnet};
@@ -16,8 +16,13 @@ fn main() {
     assert_eq!(parsed.num_signals(), div.netlist.num_signals());
     let t = Instant::now();
     let sim = divider_sim_words(&div, 0xD1_71DE5, 2);
-    let (classes, stats) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, SbifConfig::default());
+    let (classes, stats) = forward_information(
+        &div.netlist,
+        Some(div.constraint),
+        &sim,
+        SbifConfig::default(),
+        &SbifHooks::default(),
+    );
     let sbif = t.elapsed();
     let t = Instant::now();
     let (res, st) = BackwardRewriter::new(&div.netlist)

@@ -20,11 +20,11 @@
 //!   done).
 //!
 //! The schedule groups the order into **batches** — contiguous runs of
-//! whole levels with at least [`SbifConfig::batch_signals`](super::SbifConfig::batch_signals)
-//! signals, the lifetime unit of the shared incremental window solvers
-//! and of solver-stat attribution. Within one level the signals'
-//! candidate scans are distributed round-robin over [`LANES`] fixed
-//! lanes, each owning one shared solver for the batch. The partition
+//! whole levels with at least `batch_signals` signals ([`BATCH_SIGNALS`]
+//! in the SBIF scan), the lifetime unit of the shared incremental
+//! window solvers and of solver-stat attribution. Within one level the
+//! signals' candidate scans are distributed round-robin over [`LANES`]
+//! fixed lanes, each owning one shared solver for the batch. The partition
 //! depends only on the netlist and the configuration, never on the
 //! worker count, which is what keeps every statistic of the batched
 //! scan byte-identical for any `--jobs`.
@@ -39,6 +39,14 @@ use std::ops::Range;
 /// for any worker count; `jobs` only sets how many OS threads drain the
 /// lanes.
 pub const LANES: usize = 8;
+
+/// Minimum signals per dispatch batch of the SBIF scan: consecutive
+/// whole levels are grouped until at least this many signals
+/// accumulate, and each batch's window checks share one incremental
+/// solver per lane. Part of the dispatch geometry — like [`LANES`] it
+/// must not vary with `jobs`, or the per-batch solver statistics would
+/// stop being jobs-invariant.
+pub const BATCH_SIGNALS: usize = 128;
 
 /// The fixed dispatch geometry of one SBIF run: level-major scan order,
 /// level-aligned batch partition, and wave grouping. See the

@@ -60,14 +60,6 @@ pub struct SbifConfig {
     /// only committed if its certificate is accepted; results are
     /// recorded in [`SbifStats::cert`].
     pub certify: bool,
-    /// Minimum signals per dispatch batch of the level scheduler (see
-    /// [`levels::LevelSchedule`]): consecutive whole levels are grouped
-    /// until at least this many signals accumulate, and each batch's
-    /// window checks share one incremental solver. Part of the dispatch
-    /// geometry — like every field here it must not vary with `jobs`,
-    /// or the per-batch solver statistics would stop being
-    /// jobs-invariant.
-    pub batch_signals: usize,
 }
 
 impl Default for SbifConfig {
@@ -79,7 +71,6 @@ impl Default for SbifConfig {
             jobs: 1,
             cex_flush: 64,
             certify: false,
-            batch_signals: 128,
         }
     }
 }
@@ -127,7 +118,7 @@ pub struct SbifStats {
     pub solver: SolverStats,
     /// `true` when a governed run stopped scanning candidates because
     /// the cumulative committed solver-conflict ledger reached its
-    /// budget ([`SbifGovernor::conflict_budget`]). The classes found up
+    /// budget ([`SbifHooks::conflict_budget`]). The classes found up
     /// to the cut are sound and committed; the flag is deterministic —
     /// the ledger is accounted commit-side, so the cut happens at the
     /// same signal for every `jobs` value.
@@ -208,10 +199,6 @@ pub struct SbifPrefilter {
     /// The input planes `[input][word]` behind `shadow`; mismatches are
     /// turned into counterexamples by reading one bit column.
     pub planes: Vec<Vec<u64>>,
-    /// Scan mask from cone-of-influence slicing: `false` marks signals
-    /// outside every output/constraint cone, which the scan skips
-    /// entirely. An empty mask disables the skipping.
-    pub live: Vec<bool>,
     /// Precomputed topological levels (index-addressed, one entry per
     /// signal), letting the level scheduler reuse the traversal the
     /// static-analysis framework already did instead of recomputing
@@ -220,11 +207,6 @@ pub struct SbifPrefilter {
 }
 
 impl SbifPrefilter {
-    /// `false` iff cone slicing marked `s` dead.
-    pub(super) fn is_live(&self, s: Sig) -> bool {
-        self.live.get(s.index()).copied().unwrap_or(true)
-    }
-
     /// Tries to decide the candidate `(a, b, ε)` without a solver;
     /// `None` falls through to [`check_window_pair`]'s CNF encoding.
     ///
@@ -300,24 +282,53 @@ impl SbifPrefilter {
     }
 }
 
+/// The optional hooks of an Alg. 1 run. The [`Default`] is plain
+/// Alg. 1: no prefilter, no budget, no cancellation.
+///
+/// The budget and the cancel token are the governed-run hooks
+/// (DESIGN.md §16). Both are polled at the sequential commit boundary —
+/// the budget before the cancel flag, so a deterministic exhaustion
+/// always wins over a racing cancellation.
+#[derive(Debug, Clone, Default)]
+pub struct SbifHooks {
+    /// Static-analysis facts that decide candidate pairs without
+    /// building a window solver. The classes are the ones the plain run
+    /// computes; only [`SbifStats::windows_solved`] moves.
+    pub prefilter: Option<SbifPrefilter>,
+    /// Stop scanning further signals once the commit-side conflict
+    /// total ([`SbifStats::solver`]) reaches this. Partial classes are
+    /// always sound (fewer merges, never wrong ones).
+    pub conflict_budget: Option<u64>,
+    /// Cooperative cancellation (sets [`SbifStats::cancelled`]).
+    pub cancel: Option<sbif_govern::CancelToken>,
+}
+
 /// Runs Alg. 1: partitions the signals of `nl` into equivalence classes
 /// (with polarity) under the input constraint.
 ///
 /// `constraint` is a signal of `nl` that must be assumed 1 in every SAT
 /// check (pass `None` for unconstrained sweeping); `sim_words` are the
 /// simulation words per input — they must satisfy the constraint (see
-/// [`divider_sim_words`]).
+/// [`divider_sim_words`]). `hooks` adds the prefilter, the conflict
+/// budget and the cancel token (see [`SbifHooks`]); a budget or a
+/// cancellation stops the scan early and sets [`SbifStats::exhausted`]
+/// or [`SbifStats::cancelled`].
 ///
 /// # Examples
 ///
 /// ```
-/// use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+/// use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 /// use sbif_netlist::build::nonrestoring_divider;
 ///
 /// let div = nonrestoring_divider(3);
 /// let sim = divider_sim_words(&div, 1, 2);
-/// let (classes, stats) =
-///     forward_information(&div.netlist, Some(div.constraint), &sim, SbifConfig::default());
+/// let (classes, stats) = forward_information(
+///     &div.netlist,
+///     Some(div.constraint),
+///     &sim,
+///     SbifConfig::default(),
+///     &SbifHooks::default(),
+/// );
 /// assert!(stats.proven > 0);
 /// // The paper's key fact: each quotient bit is antivalent to the sign
 /// // bit of its stage's partial remainder.
@@ -334,22 +345,7 @@ pub fn forward_information(
     constraint: Option<Sig>,
     sim_words: &[Vec<u64>],
     cfg: SbifConfig,
-) -> (EquivClasses, SbifStats) {
-    forward_information_with(nl, constraint, sim_words, cfg, None)
-}
-
-/// [`forward_information`] with a static-analysis prefilter: candidate
-/// pairs the [`SbifPrefilter`] decides never build a window solver, and
-/// — when a cone mask is supplied — dead signals are skipped entirely
-/// (this changes how the scan spends its candidate slots, so only the
-/// maskless prefilter guarantees classes identical to the plain run).
-/// Passing `None` is exactly the plain entry point.
-pub fn forward_information_with(
-    nl: &Netlist,
-    constraint: Option<Sig>,
-    sim_words: &[Vec<u64>],
-    cfg: SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
+    hooks: &SbifHooks,
 ) -> (EquivClasses, SbifStats) {
     let num_words = sim_words.first().map_or(0, |v| v.len());
 
@@ -365,45 +361,7 @@ pub fn forward_information_with(
 
     // Lines 5–11: candidate detection and window checking, fanned out
     // over `cfg.jobs` workers with a deterministic sequential commit.
-    parallel::run(nl, constraint, signatures, &cfg, prefilter, None)
-}
-
-/// Governed-run hooks for Alg. 1 (DESIGN.md §16): a cumulative budget
-/// on the *committed* solver-conflict ledger, and the wall-clock
-/// watchdog's cancel token. Both are polled at the sequential commit
-/// boundary — the budget before the cancel flag, so a deterministic
-/// exhaustion always wins over a racing cancellation.
-#[derive(Debug, Clone, Default)]
-pub struct SbifGovernor {
-    /// Stop scanning further signals once the commit-side conflict
-    /// total ([`SbifStats::solver`]) reaches this. Partial classes are
-    /// always sound (fewer merges, never wrong ones).
-    pub conflict_budget: Option<u64>,
-    /// Cooperative cancellation (sets [`SbifStats::cancelled`]).
-    pub cancel: Option<sbif_govern::CancelToken>,
-}
-
-/// [`forward_information_with`] under a [`SbifGovernor`]: the scan
-/// stops early when the conflict budget is exhausted (deterministically
-/// — see [`SbifStats::exhausted`]) or the cancel token fires.
-pub fn forward_information_governed(
-    nl: &Netlist,
-    constraint: Option<Sig>,
-    sim_words: &[Vec<u64>],
-    cfg: SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
-    governor: &SbifGovernor,
-) -> (EquivClasses, SbifStats) {
-    let num_words = sim_words.first().map_or(0, |v| v.len());
-    let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); nl.num_signals()];
-    for w in 0..num_words {
-        let plane: Vec<u64> = sim_words.iter().map(|v| v[w]).collect();
-        let vals = nl.simulate64(&plane);
-        for (s, &v) in vals.iter().enumerate() {
-            signatures[s].push(v);
-        }
-    }
-    parallel::run(nl, constraint, signatures, &cfg, prefilter, Some(governor))
+    parallel::run(nl, constraint, signatures, &cfg, hooks)
 }
 
 /// A `rep()` answer an encoding depended on: `(queried, representative,
@@ -687,6 +645,7 @@ mod tests {
                 Some(div.constraint),
                 &sim,
                 SbifConfig::default(),
+                &SbifHooks::default(),
             );
             // exhaustive check over valid inputs
             for dv in 1u64..(1 << (n - 1)) {
@@ -727,6 +686,7 @@ mod tests {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            &SbifHooks::default(),
         );
         assert!(stats.proven > 0);
         for (j, &sign) in div.stage_signs.iter().enumerate() {
@@ -748,6 +708,7 @@ mod tests {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            &SbifHooks::default(),
         );
         // At least one non-singleton class must contain a stage sign.
         let has_sign_class = div
@@ -769,6 +730,7 @@ mod tests {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            &SbifHooks::default(),
         );
         let d0 = div.netlist.inputs()[2]; // r0[0], r0[1], d[0]
         assert_eq!(div.netlist.name(d0), Some("d[0]"));
@@ -787,7 +749,13 @@ mod tests {
         let sim: Vec<Vec<u64>> = (0..ni)
             .map(|i| vec![0x9E3779B97F4A7C15u64.rotate_left(7 * i as u32)])
             .collect();
-        let (classes, _) = forward_information(&div.netlist, None, &sim, SbifConfig::default());
+        let (classes, _) = forward_information(
+            &div.netlist,
+            None,
+            &sim,
+            SbifConfig::default(),
+            &SbifHooks::default(),
+        );
         for bits in 0u64..(1 << ni) {
             let inputs: Vec<bool> = (0..ni).map(|i| (bits >> i) & 1 == 1).collect();
             let vals = div.netlist.simulate_bool(&inputs);
@@ -804,10 +772,20 @@ mod tests {
         let sim = divider_sim_words(&div, 7, 2);
         let plain = SbifConfig::default();
         let certified = SbifConfig { certify: true, ..plain };
-        let (classes_p, stats_p) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, plain);
-        let (classes_c, stats_c) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, certified);
+        let (classes_p, stats_p) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            plain,
+            &SbifHooks::default(),
+        );
+        let (classes_c, stats_c) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            certified,
+            &SbifHooks::default(),
+        );
         // Every committed merge carries exactly one accepted certificate,
         // and certification must not change what is proven.
         assert_eq!(stats_c.cert.checked as usize, stats_c.proven);
@@ -830,13 +808,19 @@ mod tests {
         let div = nonrestoring_divider(4);
         let sim = divider_sim_words(&div, 9, 2);
         let shallow = SbifConfig { window_depth: 0, ..SbifConfig::default() };
-        let (_, s0) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, shallow);
+        let (_, s0) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            shallow,
+            &SbifHooks::default(),
+        );
         let (_, s4) = forward_information(
             &div.netlist,
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            &SbifHooks::default(),
         );
         assert!(s4.proven > s0.proven, "deeper windows must prove more ({} vs {})", s4.proven, s0.proven);
     }

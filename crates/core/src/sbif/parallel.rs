@@ -37,7 +37,7 @@
 //!   ([`WindowBatch`]: assumption-guarded windows, the constraint cone
 //!   encoded once, learnt clauses reused across sibling windows). Lane
 //!   solvers live for one [`LevelSchedule`] batch — a contiguous run of
-//!   whole levels with at least [`SbifConfig::batch_signals`] signals —
+//!   whole levels with at least [`BATCH_SIGNALS`] signals —
 //!   which amortizes solver setup across many levels while bounding
 //!   retired-clause growth;
 //! * the coordinator **commits** each level by replaying the candidate
@@ -59,10 +59,10 @@
 //! the batch's end, in lane order), fresh commit-side re-checks per
 //! check, which keeps governed conflict budgets deterministic too.
 
-use super::levels::{LevelSchedule, LANES};
+use super::levels::{LevelSchedule, BATCH_SIGNALS, LANES};
 use super::{
-    check_window_pair, EquivClasses, Prefiltered, RepTouch, SbifConfig, SbifPrefilter, SbifStats,
-    WindowBatch, WindowOutcome,
+    check_window_pair, EquivClasses, Prefiltered, RepTouch, SbifConfig, SbifHooks, SbifPrefilter,
+    SbifStats, WindowBatch, WindowOutcome,
 };
 use sbif_check::CertOutcome;
 use sbif_netlist::{Netlist, Sig};
@@ -249,16 +249,10 @@ impl<'nl> Lane<'nl> {
         a: Sig,
         out: &mut Vec<KeyedAttempt>,
     ) {
-        if prefilter.is_some_and(|pf| !pf.is_live(a)) {
-            return;
-        }
         let mut tried: Vec<Sig> = Vec::new();
         for b in epoch.candidates(a, pos) {
             if tried.len() >= cfg.max_candidates {
                 break;
-            }
-            if prefilter.is_some_and(|pf| !pf.is_live(b)) {
-                continue;
             }
             let (ra, _) = classes.rep(a);
             let (rb, _) = classes.rep(b);
@@ -421,17 +415,11 @@ fn commit_signal(
     stats: &mut SbifStats,
     spec: &HashMap<(u32, u32, bool), Attempt>,
 ) {
-    if prefilter.is_some_and(|p| !p.is_live(a)) {
-        return;
-    }
     let mut tried: Vec<Sig> = Vec::new();
     let epoch = Arc::clone(&state.epoch);
     for b in epoch.candidates(a, pos) {
         if tried.len() >= cfg.max_candidates {
             break;
-        }
-        if prefilter.is_some_and(|p| !p.is_live(b)) {
-            continue;
         }
         let (ra, _) = state.classes.rep(a);
         let (rb, _) = state.classes.rep(b);
@@ -506,18 +494,18 @@ pub(super) fn run(
     constraint: Option<Sig>,
     signatures: Vec<Vec<u64>>,
     cfg: &SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
-    governor: Option<&super::SbifGovernor>,
+    hooks: &SbifHooks,
 ) -> (EquivClasses, SbifStats) {
     let n = nl.num_signals();
     let jobs = cfg.jobs.max(1);
+    let prefilter = hooks.prefilter.as_ref();
     // Reuse the analysis framework's level map when the prefilter
     // carries one; recompute only without it.
     let levels = prefilter
         .map(|p| p.levels.clone())
         .filter(|l| l.len() == n)
         .unwrap_or_else(|| nl.levels());
-    let sched = LevelSchedule::from_levels(levels, cfg.batch_signals);
+    let sched = LevelSchedule::from_levels(levels, BATCH_SIGNALS);
     let mut stats = SbifStats { levels: sched.num_levels(), ..SbifStats::default() };
     let mut state = ScanState::new(signatures, n, sched.pos());
 
@@ -527,16 +515,11 @@ pub(super) fn run(
     // deterministic budget is checked before the (racy) cancel flag so
     // exhaustion always wins when both fire.
     let stop = |stats: &SbifStats| -> Option<bool> {
-        let g = governor?;
-        if let Some(limit) = g.conflict_budget {
-            if stats.solver.conflicts >= limit {
-                return Some(false); // exhausted
-            }
+        if hooks.conflict_budget.is_some_and(|limit| stats.solver.conflicts >= limit) {
+            return Some(false); // exhausted
         }
-        if let Some(c) = &g.cancel {
-            if c.is_cancelled() {
-                return Some(true); // cancelled
-            }
+        if hooks.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            return Some(true); // cancelled
         }
         None
     };
@@ -606,17 +589,6 @@ pub(super) fn run(
         }
     }
     stats.wasted_checks = stats.spec_attempts.saturating_sub(stats.spec_hits);
-    if std::env::var_os("SBIF_PAR_DEBUG").is_some() {
-        eprintln!(
-            "levels={} batches={} speculated={} hits={} solver_inits={} batch_checks={}",
-            stats.levels,
-            sched.batches().len(),
-            stats.spec_attempts,
-            stats.spec_hits,
-            stats.solver_inits,
-            stats.batch_checks
-        );
-    }
     state.classes.compress();
     (state.classes, stats)
 }

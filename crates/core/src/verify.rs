@@ -4,8 +4,8 @@
 use crate::error::VerifyError;
 use crate::rewrite::{BackwardRewriter, RewriteConfig, RewriteStats};
 use crate::sbif::{
-    certify_solver_unsat, forward_information_governed, try_divider_sim_words, EquivClasses,
-    SbifConfig, SbifGovernor, SbifPrefilter, SbifStats,
+    certify_solver_unsat, forward_information, try_divider_sim_words, EquivClasses, SbifConfig,
+    SbifHooks, SbifPrefilter, SbifStats,
 };
 use crate::spec::divider_spec;
 use crate::vc2::{check_vc2_governed, Vc2Config, Vc2Report};
@@ -21,7 +21,12 @@ use std::time::{Duration, Instant};
 /// Configuration of the full verification flow.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifierConfig {
-    /// Alg. 1 configuration.
+    /// Alg. 1 configuration. Its [`SbifConfig::certify`] switch turns
+    /// on proof logging in every SAT-answering stage of the flow: the
+    /// SBIF window checks, the vc1 residual decision and the vc2 SAT
+    /// fallback each replay their UNSAT answers through the independent
+    /// DRAT checker, aggregated in
+    /// [`VerificationReport::certificates`].
     pub sbif: SbifConfig,
     /// Backward rewriting configuration (term limit, tracing).
     pub rewrite: RewriteConfig,
@@ -34,24 +39,12 @@ pub struct VerifierConfig {
     /// Skip SBIF entirely (plain backward rewriting — the failing
     /// baseline of Sect. III; expect blow-ups beyond tiny widths).
     pub use_sbif: bool,
-    /// Run the static-analysis passes (`sbif-analysis`) before SBIF and
-    /// let their facts prefilter the window checks: structurally-decided
-    /// pairs merge without a solver and shadow-signature mismatches
-    /// refute without one. Disable to force every candidate through a
-    /// window solver (the pre-framework behaviour; the resulting classes
-    /// are identical either way, only `sbif.windows_solved` moves).
-    pub analysis: bool,
     /// Run the cheap simulation smoke check before the symbolic flow
     /// (refutes grossly broken netlists immediately). Disable to force
     /// every refutation through backward rewriting.
     pub smoke_check: bool,
     /// Also check vc2 (`0 ≤ R < D`).
     pub check_vc2: bool,
-    /// Replay every UNSAT answer of the flow (SBIF window checks and the
-    /// vc1 residual decision) through the independent DRAT checker; the
-    /// per-call outcomes are aggregated in the report's certificate
-    /// statistics ([`VerificationReport::certificates`]).
-    pub certify: bool,
     /// Resource governor (DESIGN.md §16). All-`None` (the default) is
     /// ungoverned: every stage behaves exactly as before, byte for
     /// byte. Setting any budget turns on graceful degradation — typed
@@ -69,10 +62,8 @@ impl Default for VerifierConfig {
             sim_words: 2,
             seed: 0xD1_71DE5,
             use_sbif: true,
-            analysis: true,
             smoke_check: true,
             check_vc2: true,
-            certify: false,
             govern: GovernConfig::default(),
         }
     }
@@ -119,7 +110,7 @@ pub struct Vc1Report {
     /// Wall-clock time of the rewriting phase.
     pub rewrite_time: Duration,
     /// DRAT certificates of the residual decision's UNSAT answers (all
-    /// zero unless [`VerifierConfig::certify`] is set; the SBIF window
+    /// zero unless [`SbifConfig::certify`] is set; the SBIF window
     /// certificates live in [`SbifStats::cert`]).
     pub cert: CertStats,
 }
@@ -142,7 +133,7 @@ pub struct Vc2Fallback {
     /// The configured conflict budget.
     pub budget: u64,
     /// DRAT certificate statistics of the fallback's UNSAT answer
-    /// (populated under [`VerifierConfig::certify`]).
+    /// (populated under [`SbifConfig::certify`]).
     pub cert: CertStats,
 }
 
@@ -312,10 +303,10 @@ impl<'a> DividerVerifier<'a> {
                         .vc2_sat_conflicts
                         .unwrap_or(GovernConfig::DEFAULT_VC2_SAT_CONFLICTS);
                     let fb_span = self.recorder.span("vc2-sat");
-                    let outcome = sbif_cec::vc2_sat_with(
+                    let outcome = sbif_cec::vc2_sat(
                         self.divider,
                         sbif_sat::Budget::new().with_conflicts(budget),
-                        self.config.certify,
+                        self.config.sbif.certify,
                         cancel.as_ref().map(CancelToken::flag),
                     );
                     fb_span.close();
@@ -477,33 +468,13 @@ impl<'a> DividerVerifier<'a> {
                 });
             }
         }
-        // `certify` at the verifier level turns on proof logging in every
-        // SAT-answering stage.
-        let mut sbif_cfg = self.config.sbif;
-        sbif_cfg.certify |= self.config.certify;
         let (classes, sbif_stats) = if self.config.use_sbif {
-            // Static analysis first: its facts (cone mask, shadow
-            // signatures, structural forms) prefilter the window checks.
-            let prefilter = if self.config.analysis {
-                let span = self.recorder.span("analysis");
-                let db = analyze(&div.netlist, &self.analysis_config()?, &self.recorder);
-                span.close();
-                // The cone mask stays out of the default flow: skipping
-                // dead signals changes which candidate slots the scan
-                // spends (generated dividers carry some dead gates that
-                // pre-framework runs merged), and the verifier promises
-                // classes identical to the prefilter-free run. Callers
-                // that want the mask opt in through
-                // [`forward_information_with`] + `AnalysisDb::sbif_live_mask`.
-                Some(SbifPrefilter {
-                    shadow: db.shadow,
-                    planes: db.shadow_planes,
-                    live: Vec::new(),
-                    levels: db.levels,
-                })
-            } else {
-                None
-            };
+            // Static analysis first: its facts (shadow signatures,
+            // structural forms, the level map) prefilter the window
+            // checks without changing the classes.
+            let span = self.recorder.span("analysis");
+            let db = analyze(&div.netlist, &self.analysis_config()?, &self.recorder);
+            span.close();
             let span = self.recorder.span("sbif");
             let sim = try_divider_sim_words(div, self.config.seed, self.config.sim_words)
                 .map_err(VerifyError::MalformedInterface)?;
@@ -511,15 +482,21 @@ impl<'a> DividerVerifier<'a> {
             // (cumulative absorbed solver conflicts), so the cut lands
             // on the same signal for every `--jobs` value. All-`None`
             // governors poll nothing and change nothing.
-            let governor =
-                SbifGovernor { conflict_budget: g.sbif_conflicts, cancel: cancel.cloned() };
-            let (c, s) = forward_information_governed(
+            let hooks = SbifHooks {
+                prefilter: Some(SbifPrefilter {
+                    shadow: db.shadow,
+                    planes: db.shadow_planes,
+                    levels: db.levels,
+                }),
+                conflict_budget: g.sbif_conflicts,
+                cancel: cancel.cloned(),
+            };
+            let (c, s) = forward_information(
                 &div.netlist,
                 Some(div.constraint),
                 &sim,
-                sbif_cfg,
-                prefilter.as_ref(),
-                &governor,
+                self.config.sbif,
+                &hooks,
             );
             span.close();
             (Some(c), s)
@@ -789,7 +766,7 @@ impl<'a> DividerVerifier<'a> {
     /// so enumerate their assignments; for each that makes the residual
     /// non-zero, ask SAT whether it extends to a C-satisfying input.
     ///
-    /// Under [`VerifierConfig::certify`], each UNSAT answer (assignment
+    /// Under [`SbifConfig::certify`], each UNSAT answer (assignment
     /// does not extend to a valid input) is DRAT-checked; the returned
     /// statistics cover every such call. The incremental proof log stays
     /// valid across the calls: learnt clauses are consequences of the
@@ -810,7 +787,7 @@ impl<'a> DividerVerifier<'a> {
             return Ok((self.find_counterexample(residual)?, cert));
         }
         let mut solver = Solver::new();
-        if self.config.certify {
+        if self.config.sbif.certify {
             solver.enable_proof_log();
         }
         let mut enc = NetlistEncoder::new(&div.netlist);
@@ -838,7 +815,7 @@ impl<'a> DividerVerifier<'a> {
                 .map(|(i, &l)| if (bits >> i) & 1 == 1 { l } else { !l })
                 .collect();
             let result = solver.solve_assuming(&assumptions);
-            if result == SolveResult::Unsat && self.config.certify {
+            if result == SolveResult::Unsat && self.config.sbif.certify {
                 cert.record(&certify_solver_unsat(&solver));
             }
             if result == SolveResult::Sat {

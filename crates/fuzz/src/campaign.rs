@@ -321,26 +321,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The real verification pipeline as a campaign oracle: full vc1 (SBIF
-/// rewriting) + vc2 (BDD), optionally with DRAT certification.
+/// rewriting) + vc2 (BDD), optionally with DRAT certification. Every
+/// verifier run records into the shared `recorder`. Counters and gauges
+/// are merge-commutative, so the accumulated `sbif.*`/`rewrite.*`/`vc2.*`
+/// totals measure the campaign's *actual* symbolic work —
+/// deterministically for any `--jobs` value, and visibly lower on a warm
+/// cache.
 pub fn default_pipeline(
-    certify: bool,
-    max_terms: Option<usize>,
-) -> impl Fn(&Divider) -> PipelineVerdict + Sync {
-    default_pipeline_recorded(certify, max_terms, sbif_trace::Recorder::new())
-}
-
-/// [`default_pipeline`], with every verifier run recording into the
-/// shared `recorder`. Counters and gauges are merge-commutative, so the
-/// accumulated `sbif.*`/`rewrite.*`/`vc2.*` totals measure the
-/// campaign's *actual* symbolic work — deterministically for any
-/// `--jobs` value, and visibly lower on a warm cache.
-pub fn default_pipeline_recorded(
     certify: bool,
     max_terms: Option<usize>,
     recorder: sbif_trace::Recorder,
 ) -> impl Fn(&Divider) -> PipelineVerdict + Sync {
     move |div| {
-        let mut cfg = VerifierConfig { certify, ..VerifierConfig::default() };
+        let mut cfg = VerifierConfig::default();
+        cfg.sbif.certify = certify;
         if let Some(mt) = max_terms {
             cfg.rewrite.max_terms = Some(mt);
         }
@@ -360,11 +354,6 @@ pub fn default_pipeline_recorded(
             Err(e) => PipelineVerdict::Abort(e.to_string()),
         }
     }
-}
-
-/// Runs the campaign against the real verification pipeline.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    run_campaign_with(cfg, &default_pipeline(cfg.certify, cfg.max_terms))
 }
 
 /// The part of the configuration an outcome depends on. Anything that
@@ -451,19 +440,12 @@ enum Plan {
     Hit(MutantOutcome),
 }
 
-/// Runs the campaign against an arbitrary pipeline oracle — the
-/// determinism and shrinker tests inject synthetic ones.
-pub fn run_campaign_with(
-    cfg: &CampaignConfig,
-    pipeline: &(dyn Fn(&Divider) -> PipelineVerdict + Sync),
-) -> CampaignReport {
-    run_campaign_with_cache(cfg, pipeline, None)
-}
-
-/// [`run_campaign_with`], resolving already-judged seeds and mutants
-/// from `cache` (and storing fresh outcomes into it). See the module
-/// docs for the key derivation and the soundness argument.
-pub fn run_campaign_with_cache(
+/// Runs the campaign against a pipeline oracle — [`default_pipeline`]
+/// in production, synthetic ones in the determinism and shrinker tests.
+/// With a `cache`, already-judged seeds and mutants are resolved from
+/// it (and fresh outcomes stored into it). See the module docs for the
+/// key derivation and the soundness argument.
+pub fn run_campaign(
     cfg: &CampaignConfig,
     pipeline: &(dyn Fn(&Divider) -> PipelineVerdict + Sync),
     cache: Option<&ResultCache>,
@@ -1131,8 +1113,8 @@ mod tests {
         let one = tiny_config();
         let mut four = tiny_config();
         four.jobs = 4;
-        let a = run_campaign_with(&one, &reject_all).kill_matrix_json();
-        let b = run_campaign_with(&four, &reject_all).kill_matrix_json();
+        let a = run_campaign(&one, &reject_all, None).kill_matrix_json();
+        let b = run_campaign(&four, &reject_all, None).kill_matrix_json();
         assert_eq!(a, b, "kill matrix must not depend on --jobs");
     }
 
@@ -1142,7 +1124,7 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.models = vec![FaultModel::StuckAt1];
         cfg.shrink = true;
-        let report = run_campaign_with(&cfg, &accept_all);
+        let report = run_campaign(&cfg, &accept_all, None);
         assert!(report.total_semantic() > 0, "stuck-at-1 must hit semantics");
         assert_eq!(report.total_escaped(), report.total_semantic());
         assert!(!report.success());
@@ -1168,7 +1150,7 @@ mod tests {
         // Suppress the default panic hook's stderr noise for this test.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let report = run_campaign_with(&cfg, &panicky);
+        let report = run_campaign(&cfg, &panicky, None);
         std::panic::set_hook(prev);
         // Seeds also hit the panicking pipeline — but pipeline() is only
         // called through catch_unwind for mutants, so the seed phase
@@ -1201,9 +1183,9 @@ mod tests {
         let cache = ResultCache::in_memory();
         let cfg = tiny_config();
 
-        let cold = run_campaign_with_cache(&cfg, &pipeline, Some(&cache));
+        let cold = run_campaign(&cfg, &pipeline, Some(&cache));
         let cold_calls = calls.swap(0, Ordering::SeqCst);
-        let warm = run_campaign_with_cache(&cfg, &pipeline, Some(&cache));
+        let warm = run_campaign(&cfg, &pipeline, Some(&cache));
         let warm_calls = calls.load(Ordering::SeqCst);
 
         // Work accounting, pinned.
@@ -1216,7 +1198,7 @@ mod tests {
         // vs warm (and therefore to a cache-free run — the cold run hit
         // nothing).
         assert_eq!(cold.kill_matrix_json(), warm.kill_matrix_json());
-        let no_cache = run_campaign_with(&cfg, &pipeline);
+        let no_cache = run_campaign(&cfg, &pipeline, None);
         assert_eq!(no_cache.kill_matrix_json(), cold.kill_matrix_json());
         assert_eq!((no_cache.cache_hits, no_cache.cache_misses), (0, 0));
         assert_eq!(no_cache.deduped, 3, "dedupe is on even without a cache");
@@ -1239,12 +1221,12 @@ mod tests {
         let cfg = tiny_config();
         let cold = {
             let cache = ResultCache::on_disk(&dir).unwrap();
-            run_campaign_with_cache(&cfg, &reject_all, Some(&cache))
+            run_campaign(&cfg, &reject_all, Some(&cache))
         };
         // A brand-new cache instance over the same directory — the
         // cross-process warm-start scenario of `--cache-dir`.
         let cache = ResultCache::on_disk(&dir).unwrap();
-        let warm = run_campaign_with_cache(&cfg, &reject_all, Some(&cache));
+        let warm = run_campaign(&cfg, &reject_all, Some(&cache));
         assert_eq!(warm.cache_hits, cold.cache_misses);
         assert_eq!(warm.cache_misses, 0);
         assert_eq!(cold.kill_matrix_json(), warm.kill_matrix_json());
@@ -1254,7 +1236,7 @@ mod tests {
     #[test]
     fn totals_are_consistent() {
         let reject_all = |_: &Divider| PipelineVerdict::NotCorrect;
-        let report = run_campaign_with(&tiny_config(), &reject_all);
+        let report = run_campaign(&tiny_config(), &reject_all, None);
         let generated: usize = report.cells.iter().map(|c| c.generated).sum();
         assert_eq!(
             generated,
@@ -1295,7 +1277,7 @@ mod tests {
             certify: false,
             shrink: false,
         };
-        let report = run_campaign_with(&cfg, &reject_all);
+        let report = run_campaign(&cfg, &reject_all, None);
         assert_eq!(report.seeds.len(), 1);
         assert_eq!(report.seeds[0].correct, None);
         assert!(report.cells.iter().all(|c| c.kill_only));

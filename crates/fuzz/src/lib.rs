@@ -28,8 +28,7 @@ pub mod mutate;
 pub mod shrink;
 
 pub use campaign::{
-    default_pipeline, default_pipeline_recorded, run_campaign, run_campaign_with,
-    run_campaign_with_cache, CampaignConfig, CampaignReport, CellStats, EscapeRecord,
+    default_pipeline, run_campaign, CampaignConfig, CampaignReport, CellStats, EscapeRecord,
     MutantOutcome, PipelineVerdict,
 };
 pub use classify::{classify, strict_miter, subset_miter, MutantClass};

@@ -14,9 +14,8 @@
 //! Budgets come in two kinds, and the distinction carries the repo's
 //! byte-identical `--jobs` contract:
 //!
-//! * **Deterministic units** — SAT conflicts and propagations, BDD
-//!   live-node counts, rewrite term counts, SBIF windows, analysis pass
-//!   steps. These are accounted *commit-side* (scheduling-independent),
+//! * **Deterministic units** — SAT conflicts, BDD live-node counts,
+//!   rewrite term counts, analysis pass steps. These are accounted *commit-side* (scheduling-independent),
 //!   so whether a budget trips, and the exact `spent` value it reports,
 //!   is identical for any worker count. Verdicts and `govern.*`
 //!   counters derived from them are cacheable.
@@ -38,20 +37,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A budgetable resource. The unit of `spent`/`limit` depends on the
-/// variant: conflicts, propagations, nodes, terms, windows, steps — or
-/// milliseconds for [`Resource::WallClock`].
+/// variant: conflicts, nodes, terms, steps — or milliseconds for
+/// [`Resource::WallClock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// CDCL conflicts (deterministic; accounted commit-side in SBIF).
     SatConflicts,
-    /// CDCL propagations (deterministic).
-    SatPropagations,
     /// Live BDD nodes in the vc2 manager (deterministic).
     BddLiveNodes,
     /// Polynomial terms during backward rewriting (deterministic).
     RewriteTerms,
-    /// SBIF window checks (deterministic).
-    SbifWindows,
     /// Static-analysis pass steps (deterministic).
     AnalysisSteps,
     /// Wall-clock milliseconds — the watchdog. Never deterministic.
@@ -64,10 +59,8 @@ impl Resource {
     pub fn name(self) -> &'static str {
         match self {
             Resource::SatConflicts => "sat-conflicts",
-            Resource::SatPropagations => "sat-propagations",
             Resource::BddLiveNodes => "bdd-live-nodes",
             Resource::RewriteTerms => "rewrite-terms",
-            Resource::SbifWindows => "sbif-windows",
             Resource::AnalysisSteps => "analysis-steps",
             Resource::WallClock => "wall-clock",
         }
@@ -276,20 +269,6 @@ impl GovernConfig {
     /// configured explicitly.
     pub const DEFAULT_VC2_SAT_CONFLICTS: u64 = 1_000_000;
 
-    /// `true` when any budget (deterministic or wall-clock) is set.
-    pub fn is_active(&self) -> bool {
-        *self != GovernConfig::default()
-    }
-
-    /// `true` when any *deterministic* budget is set (the watchdog
-    /// alone does not change committed outcomes).
-    pub fn has_deterministic_budget(&self) -> bool {
-        self.sbif_conflicts.is_some()
-            || self.rewrite_terms.is_some()
-            || self.vc2_live_nodes.is_some()
-            || self.vc2_sat_conflicts.is_some()
-    }
-
     /// The canonical budget stamp bound into cached `Inconclusive`
     /// entries: an inconclusive result is only valid for the *exact*
     /// deterministic budget that produced it — a bigger (or smaller)
@@ -396,19 +375,14 @@ mod tests {
     }
 
     #[test]
-    fn govern_config_defaults_are_inactive_and_stamps_bind_budgets() {
+    fn govern_config_stamps_bind_budgets() {
         let none = GovernConfig::default();
-        assert!(!none.is_active());
-        assert!(!none.has_deterministic_budget());
         let mut g = none;
         g.timeout_ms = Some(5000);
-        assert!(g.is_active());
-        assert!(!g.has_deterministic_budget());
         // The watchdog is excluded from the stamp.
         assert_eq!(g.budget_stamp(), none.budget_stamp());
         let mut h = none;
         h.sbif_conflicts = Some(10_000);
-        assert!(h.has_deterministic_budget());
         assert_ne!(h.budget_stamp(), none.budget_stamp());
         let mut h2 = h;
         h2.sbif_conflicts = Some(20_000);

@@ -21,21 +21,19 @@ fi
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline --workspace"
+# Every test of the root package and of every member crate runs here,
+# once; the gates below only add release-binary checks.
+cargo test -q --offline --workspace
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> static-analysis gate (property suite + sbif-lint --strict)"
-# The framework's own acceptance (DESIGN.md §14): ternary propagation
-# against exhaustive simulation, cone slicing against random stimulus
-# and the SBIF prefilter contract (strictly fewer windows, identical
-# classes) — then the framework-driven sbif-lint in --strict mode over
+echo "==> static-analysis gate (sbif-lint --strict)"
+# The framework-driven sbif-lint (DESIGN.md §14) in --strict mode over
 # every shipped netlist. Generated dividers legitimately carry dead
 # cones and structural duplicates, so those two rules are allow-listed;
 # anything else (stuck-at, width gaps, …) fails the gate.
-cargo test -q --offline --test analysis
 ./target/release/sbif-lint --strict --allow unreachable --allow duplicate-gate \
     examples/netlists/*.bnet tests/corpus/*.bnet
 
@@ -70,18 +68,11 @@ echo "==> trace gate (NDJSON contract + golden metrics byte-compare)"
 cmp "$FUZZ_TMP/metrics-1.json" "$FUZZ_TMP/metrics-4.json"
 cmp "$FUZZ_TMP/metrics-1.json" tests/golden/metrics_nonrestoring_n8.json
 
-echo "==> service gate (frontends + result cache + sbif-serve smoke)"
-# The verification-service layer (DESIGN.md §15): the parser
-# conformance suite (AIGER/BENCH golden fixtures, write->parse
-# round-trip properties, located rejection), the cache differential
-# suite (cold = warm byte-identical at --jobs 1 and 4, dirty-cone
-# invalidation), and the daemon protocol tests.
-cargo test -q --offline --test frontends
-cargo test -q --offline --test cache
-cargo test -q --offline --test serve
-# Release-binary smoke: a daemon answers a job, a duplicate job hits
-# the shared cache, and shutdown is clean — all inside a 10 s timeout
-# so a wedged daemon fails the gate instead of hanging it.
+echo "==> service gate (sbif-serve and fuzz-cache smoke)"
+# The verification-service layer (DESIGN.md §15), release-binary
+# smoke: a daemon answers a job, a duplicate job hits the shared cache,
+# and shutdown is clean — all inside a 10 s timeout so a wedged daemon
+# fails the gate instead of hanging it.
 SERVE_SOCK="$FUZZ_TMP/serve.sock"
 timeout 10 ./target/release/sbif-serve "$SERVE_SOCK" \
     --cache-dir "$FUZZ_TMP/serve-cache" > /dev/null &
@@ -111,17 +102,13 @@ fi
 
 echo "==> robustness gate (resource governor + crash-safe daemon)"
 # DESIGN.md §16: budgeted runs degrade to typed Inconclusive verdicts
-# instead of aborting, byte-identically at any --jobs; the daemon
-# survives panicking jobs and SIGKILL mid-job (journal recovery and
-# stale-socket rebind are asserted by tests/serve.rs, which the
-# service gate above already runs under its 10 s stop discipline).
-cargo test -q --offline -p sbif-govern
-cargo test -q --offline --test governor
-# Budget smoke on the known-divergent case: backward rewriting of the
-# SRT divider blows any small term budget (DESIGN.md §16); governed,
-# the standard flow must exit 0 with an inconclusive verdict naming
-# the exhausted stage — inside a hard wall-clock ceiling so a hung
-# governor fails the gate instead of wedging it.
+# instead of aborting, byte-identically at any --jobs (tests/governor.rs
+# and tests/serve.rs run in the test step above). Budget smoke on the
+# known-divergent case: backward rewriting of the SRT divider blows any
+# small term budget; governed, the standard flow must exit 0 with an
+# inconclusive verdict naming the exhausted stage — inside a hard
+# wall-clock ceiling so a hung governor fails the gate instead of
+# wedging it.
 timeout 60 ./target/release/sbif-verify --demo 6 --arch srt \
     --budget-conflicts 1 --budget-terms 10 --timeout 5000 \
     > "$FUZZ_TMP/srt-governed.out"
@@ -130,16 +117,14 @@ timeout 60 ./target/release/sbif-verify --demo 6 --arch srt \
 # may beat it — either way the contract is exit 0 + inconclusive.
 grep -q "VERDICT: inconclusive (" "$FUZZ_TMP/srt-governed.out"
 
-echo "==> parallel gate (jobs-sweep determinism + sbif-serve differential)"
-# DESIGN.md §7: the level-barrier engine's classes, speculation
-# counters and canonical metrics bytes must be identical at --jobs
-# 1/2/4/8, on every architecture and under an exhausted governor
-# budget; the scheduler/batched-solver property suite rides along.
-cargo test -q --offline --test parallel_levels
-# The same contract through the daemon: two *separate* sbif-serve
-# instances (fresh in-memory caches — a shared cache would just replay
-# the first answer) pinned to 1 and 4 jobs must return byte-identical
-# result lines (verdict + escaped canonical metrics) for the same job.
+echo "==> parallel gate (sbif-serve jobs differential)"
+# DESIGN.md §7: the level-barrier engine's canonical metrics bytes must
+# be identical at any --jobs (tests/parallel_levels.rs sweeps 1/2/4/8 in
+# the test step above). The same contract through the daemon: two
+# *separate* sbif-serve instances (fresh in-memory caches — a shared
+# cache would just replay the first answer) pinned to 1 and 4 jobs must
+# return byte-identical result lines (verdict + escaped canonical
+# metrics) for the same job.
 SOCK1="$FUZZ_TMP/serve-j1.sock"
 SOCK4="$FUZZ_TMP/serve-j4.sock"
 timeout 20 ./target/release/sbif-serve "$SOCK1" --jobs 1 > /dev/null &
@@ -160,16 +145,6 @@ cmp "$FUZZ_TMP/serve-metrics-1.json" "$FUZZ_TMP/serve-metrics-4.json"
 ./target/release/sbif-serve stop "$SOCK1" > /dev/null
 ./target/release/sbif-serve stop "$SOCK4" > /dev/null
 wait "$SERVE_J1" "$SERVE_J4"
-
-echo "==> bdd gate (differential + property harness)"
-# The BDD engine's own acceptance harness: every root of random
-# netlists differentially checked against exhaustive truth-table
-# simulation (tests/bdd_differential.rs), and the manager's structural
-# walker — canonical complement-edge form, unique-table ownership,
-# free-list consistency, pin survival — run after every random
-# apply/compose/GC/sift (crates/bdd/tests/properties.rs).
-cargo test -q --offline --test bdd_differential
-cargo test -q --offline -p sbif-bdd --test properties
 
 echo "==> bench determinism gate (scripts/bench_check.sh)"
 ./scripts/bench_check.sh

@@ -37,7 +37,7 @@
 //! too few semantic mutants), 2 = usage error.
 
 use sbif::cache::ResultCache;
-use sbif::fuzz::{default_pipeline_recorded, run_campaign_with_cache, Arch, CampaignConfig, FaultModel};
+use sbif::fuzz::{default_pipeline, run_campaign, Arch, CampaignConfig, FaultModel};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -193,8 +193,8 @@ fn main() -> ExitCode {
     // sbif.* totals in --metrics-out measure the actual symbolic work —
     // on a warm cache they drop while the kill matrix stays identical.
     let rec = sbif::trace::Recorder::new();
-    let pipeline = default_pipeline_recorded(cfg.certify, cfg.max_terms, rec.clone());
-    let report = run_campaign_with_cache(&cfg, &pipeline, cache.as_ref());
+    let pipeline = default_pipeline(cfg.certify, cfg.max_terms, rec.clone());
+    let report = run_campaign(&cfg, &pipeline, cache.as_ref());
     print!("{}", report.human_summary());
 
     if let Some(path) = &metrics_out {

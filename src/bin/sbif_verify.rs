@@ -216,7 +216,7 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "--certify" => {
-                config.certify = true;
+                config.sbif.certify = true;
                 i += 1;
             }
             "--jobs" => {
@@ -445,7 +445,7 @@ fn main() -> ExitCode {
                 fb.budget
             );
         }
-        if config.certify {
+        if config.sbif.certify {
             let cert = report.certificates();
             println!(
                 "certificates:       {} UNSAT answers DRAT-checked, {} rejected, {:.1}% of logged steps used",

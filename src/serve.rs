@@ -83,7 +83,9 @@ pub fn flow_fingerprint(config: &VerifierConfig) -> String {
     let mut c = *config;
     c.sbif.jobs = 0;
     c.govern = sbif_govern::GovernConfig::default();
-    format!("sbif-verify-flow-v1 {c:?}")
+    // Bump the version whenever the config's `Debug` rendering changes,
+    // so entries written under the old rendering miss.
+    format!("sbif-verify-flow-v2 {c:?}")
 }
 
 /// The content-addressed cache key of one (design, flow config) pair:
@@ -174,7 +176,7 @@ pub fn verify_cached(
         .with_recorder(recorder)
         .verify()
         .map_err(|e| e.to_string())?;
-    let certified = !config.certify || report.certificates().all_accepted();
+    let certified = !config.sbif.certify || report.certificates().all_accepted();
     let correct = report.is_correct() && certified;
     let (verdict, exhausted_at) = match &report.verdict {
         sbif_govern::Verdict::Inconclusive { exhausted_at } => {
@@ -659,7 +661,7 @@ fn config_of_request(
         config.check_vc2 = false;
     }
     if matches!(obj.get("certify"), Some(Value::Bool(true))) {
-        config.certify = true;
+        config.sbif.certify = true;
     }
     if let Some(mt) = obj.get("max_terms").and_then(Value::as_u64) {
         config.rewrite.max_terms = Some(mt as usize);
@@ -812,6 +814,16 @@ mod tests {
         let mut terms = base;
         terms.rewrite.max_terms = Some(123);
         assert_ne!(flow_fingerprint(&base), flow_fingerprint(&terms));
+        // Certification gates merges on accepted certificates and adds
+        // `cert.*` metrics, so it must bind the key — at any `jobs` and
+        // under any budget.
+        let mut certified = base;
+        certified.sbif.certify = true;
+        assert_ne!(flow_fingerprint(&base), flow_fingerprint(&certified));
+        let mut certified_jobs4 = certified;
+        certified_jobs4.sbif.jobs = 4;
+        certified_jobs4.govern.sbif_conflicts = Some(1000);
+        assert_eq!(flow_fingerprint(&certified), flow_fingerprint(&certified_jobs4));
     }
 
     #[test]

@@ -11,11 +11,10 @@ use sbif::analysis::signature::signatures;
 use sbif::analysis::ternary::propagate;
 use sbif::analysis::{analyze, AnalysisConfig};
 use sbif::core::sbif::{
-    divider_sim_words, forward_information, forward_information_with, EquivClasses, SbifConfig,
-    SbifPrefilter,
+    divider_sim_words, forward_information, EquivClasses, SbifConfig, SbifHooks, SbifPrefilter,
 };
 use sbif::netlist::build::nonrestoring_divider;
-use sbif::netlist::{BinOp, Gate, Netlist, Sig};
+use sbif::netlist::{Netlist, Sig};
 use sbif::trace::Recorder;
 use sbif_rng::XorShift64;
 use std::path::PathBuf;
@@ -125,8 +124,13 @@ fn prefilter_prunes_windows_and_preserves_classes() {
     let shadow_sim = divider_sim_words(&div, 99, 2);
     for jobs in [1, 4] {
         let cfg = SbifConfig { jobs, ..SbifConfig::default() };
-        let (base_classes, base) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+        let (base_classes, base) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            &SbifHooks::default(),
+        );
         assert_eq!(base.windows_solved, base.sat_checks, "no prefilter, no gap");
 
         let acfg = AnalysisConfig {
@@ -137,8 +141,9 @@ fn prefilter_prunes_windows_and_preserves_classes() {
         let db = analyze(&div.netlist, &acfg, &Recorder::new());
         let pf =
             SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes, ..SbifPrefilter::default() };
+        let hooks = SbifHooks { prefilter: Some(pf), ..SbifHooks::default() };
         let (classes, stats) =
-            forward_information_with(&div.netlist, Some(div.constraint), &sim, cfg, Some(&pf));
+            forward_information(&div.netlist, Some(div.constraint), &sim, cfg, &hooks);
 
         assert_eq!(reps(&div.netlist, &base_classes), reps(&div.netlist, &classes), "jobs={jobs}");
         assert_eq!(base.proven, stats.proven);
@@ -169,7 +174,13 @@ fn shadow_signatures_refute_without_a_solver() {
     // The primary stimulus only ever drives a == b, so AND and OR look
     // identical and become candidates.
     let sim = vec![vec![0b01u64], vec![0b01u64]];
-    let (base_classes, base) = forward_information(&nl, None, &sim, SbifConfig::default());
+    let (base_classes, base) = forward_information(
+        &nl,
+        None,
+        &sim,
+        SbifConfig::default(),
+        &SbifHooks::default(),
+    );
     assert!(base.sat_checks > 0);
     assert_eq!(base.windows_solved, base.sat_checks);
     assert_eq!(base.proven, 0, "{base:?}");
@@ -177,8 +188,8 @@ fn shadow_signatures_refute_without_a_solver() {
     // Shadow planes include a != b: every pair is told apart up front.
     let planes = vec![vec![0b0011u64], vec![0b0101u64]];
     let pf = SbifPrefilter { shadow: signatures(&nl, &planes), planes, ..SbifPrefilter::default() };
-    let (classes, stats) =
-        forward_information_with(&nl, None, &sim, SbifConfig::default(), Some(&pf));
+    let hooks = SbifHooks { prefilter: Some(pf), ..SbifHooks::default() };
+    let (classes, stats) = forward_information(&nl, None, &sim, SbifConfig::default(), &hooks);
     assert!(stats.prefilter_refuted > 0, "{stats:?}");
     assert_eq!(stats.windows_solved, 0, "{stats:?}");
     assert_eq!(
@@ -186,32 +197,6 @@ fn shadow_signatures_refute_without_a_solver() {
         stats.sat_checks
     );
     assert_eq!(reps(&nl, &base_classes), reps(&nl, &classes));
-}
-
-/// The opt-in cone mask: signals outside the live cone are skipped by
-/// the candidate scan entirely (this trades class identity for fewer
-/// checks, which is why `verify.rs` does not enable it by default).
-#[test]
-fn live_mask_skips_dead_signals() {
-    let mut nl = Netlist::new();
-    let a = nl.input("a");
-    let b = nl.input("b");
-    let x = nl.and(a, b);
-    // The builder strashes `and(b, a)` back to `x`; push the raw gate to
-    // get a distinct, commuted, dead duplicate.
-    let dead = nl.push_gate(Gate::Binary(BinOp::And, b, a));
-    nl.add_output("o", x);
-    let sim = vec![vec![0x0123_4567_89AB_CDEFu64], vec![0xFEDC_BA98_7654_3210u64]];
-    let (_, base) = forward_information(&nl, None, &sim, SbifConfig::default());
-    assert_eq!(base.proven, 1, "dead duplicate merges without a mask: {base:?}");
-
-    let db = analyze(&nl, &AnalysisConfig::default(), &Recorder::new());
-    let mask = db.sbif_live_mask(&nl);
-    assert!(!mask[dead.index()] && mask[x.index()]);
-    let pf = SbifPrefilter { live: mask, ..SbifPrefilter::default() };
-    let (_, stats) = forward_information_with(&nl, None, &sim, SbifConfig::default(), Some(&pf));
-    assert_eq!(stats.proven, 0, "masked scan never reaches the dead gate: {stats:?}");
-    assert!(stats.sat_checks < base.sat_checks, "{stats:?} vs {base:?}");
 }
 
 // ---------- CLI surface -----------------------------------------------------

@@ -6,7 +6,7 @@ mod common;
 use common::prop_check;
 
 use sbif::check::{certify_unsat, CertStats, DratStep};
-use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
 use sbif::netlist::build::nonrestoring_divider;
 use sbif::sat::{Lit, SolveResult, Solver};
@@ -154,8 +154,13 @@ fn sbif_certificates_identical_across_jobs() {
     let mut stats_by_jobs: Vec<CertStats> = Vec::new();
     for jobs in [1usize, 4] {
         let cfg = SbifConfig { certify: true, jobs, ..SbifConfig::default() };
-        let (_, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+        let (_, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            &SbifHooks::default(),
+        );
         assert_eq!(stats.cert.checked as usize, stats.proven);
         assert_eq!(stats.cert.rejected, 0);
         stats_by_jobs.push(stats.cert);
@@ -169,7 +174,8 @@ fn sbif_certificates_identical_across_jobs() {
 #[test]
 fn certified_verification_of_8bit_divider() {
     let div = nonrestoring_divider(8);
-    let config = VerifierConfig { certify: true, ..VerifierConfig::default() };
+    let mut config = VerifierConfig::default();
+    config.sbif.certify = true;
     let report = DividerVerifier::new(&div).with_config(config).verify().expect("fits");
     assert!(report.is_correct());
     assert_eq!(report.vc1.outcome, Vc1Outcome::Proven);

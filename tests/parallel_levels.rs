@@ -19,8 +19,8 @@ mod common;
 
 use common::random_netlist;
 use sbif::core::sbif::{
-    check_window_pair, divider_sim_words, forward_information, forward_information_governed,
-    EquivClasses, LevelSchedule, SbifConfig, SbifGovernor, SbifStats, WindowBatch,
+    check_window_pair, divider_sim_words, forward_information, EquivClasses, LevelSchedule,
+    SbifConfig, SbifHooks, SbifStats, WindowBatch,
 };
 use sbif::core::verify::{DividerVerifier, VerifierConfig};
 use sbif::netlist::build::{array_divider, nonrestoring_divider, srt_divider, Divider};
@@ -68,8 +68,13 @@ fn sweep_sbif(div: &Divider, label: &str) -> SbifStats {
     let mut reference: Option<(String, SbifStats)> = None;
     for jobs in JOBS_SWEEP {
         let cfg = SbifConfig { jobs, ..SbifConfig::default() };
-        let (classes, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+        let (classes, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            &SbifHooks::default(),
+        );
         let fp = fingerprint(&div.netlist, &classes, &stats);
         match &reference {
             None => reference = Some((fp, stats)),
@@ -154,18 +159,12 @@ fn sbif_sweep_identical_on_all_architectures() {
 fn governed_budget_exhaustion_is_jobs_invariant() {
     let div = nonrestoring_divider(8);
     let sim = divider_sim_words(&div, 23, 2);
-    let governor = SbifGovernor { conflict_budget: Some(40), cancel: None };
+    let hooks = SbifHooks { conflict_budget: Some(40), ..SbifHooks::default() };
     let mut reference: Option<String> = None;
     for jobs in JOBS_SWEEP {
         let cfg = SbifConfig { jobs, ..SbifConfig::default() };
-        let (classes, stats) = forward_information_governed(
-            &div.netlist,
-            Some(div.constraint),
-            &sim,
-            cfg,
-            None,
-            &governor,
-        );
+        let (classes, stats) =
+            forward_information(&div.netlist, Some(div.constraint), &sim, cfg, &hooks);
         assert!(stats.exhausted, "jobs={jobs}: budget must trip");
         let fp = fingerprint(&div.netlist, &classes, &stats);
         match &reference {

@@ -6,7 +6,9 @@
 //! merges, and counterexample-driven candidate pruning. Each promise is
 //! checked here.
 
-use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifStats};
+use sbif::core::sbif::{
+    divider_sim_words, forward_information, SbifConfig, SbifHooks, SbifStats,
+};
 use sbif::netlist::build::{
     array_divider, nonrestoring_divider, restoring_divider, srt_divider, Divider,
 };
@@ -39,10 +41,20 @@ fn logical(s: &SbifStats) -> (usize, usize, usize, usize, usize, usize, usize, u
 
 fn assert_parallel_matches_sequential(div: &Divider, label: &str) {
     let sim = divider_sim_words(div, 23, 2);
-    let (seq, seq_stats) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, jobs_cfg(1));
-    let (par, par_stats) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, jobs_cfg(8));
+    let (seq, seq_stats) = forward_information(
+        &div.netlist,
+        Some(div.constraint),
+        &sim,
+        jobs_cfg(1),
+        &SbifHooks::default(),
+    );
+    let (par, par_stats) = forward_information(
+        &div.netlist,
+        Some(div.constraint),
+        &sim,
+        jobs_cfg(8),
+        &SbifHooks::default(),
+    );
     for s in div.netlist.signals() {
         assert_eq!(seq.rep(s), par.rep(s), "{label}: classes diverge at {s}");
     }
@@ -88,8 +100,13 @@ fn parallel_merges_are_sound_under_constraint() {
     for n in [4usize, 6, 8] {
         let div = nonrestoring_divider(n);
         let sim = divider_sim_words(&div, 7, 2);
-        let (classes, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, jobs_cfg(8));
+        let (classes, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            jobs_cfg(8),
+            &SbifHooks::default(),
+        );
         assert!(stats.proven > 0, "n={n}");
         // Enumerate all valid (r0, d) pairs, 64 per simulation word.
         let pairs: Vec<(u64, u64)> = (1..1u64 << (n - 1))
@@ -153,8 +170,14 @@ fn counterexamples_prune_spurious_candidates() {
 
     let eager = SbifConfig { cex_flush: 1, ..SbifConfig::default() };
     let lazy = SbifConfig { cex_flush: usize::MAX, ..SbifConfig::default() };
-    let (refined, refined_stats) = forward_information(&nl, None, &sim, eager);
-    let (stale, stale_stats) = forward_information(&nl, None, &sim, lazy);
+    let (refined, refined_stats) = forward_information(
+        &nl,
+        None,
+        &sim,
+        eager,
+        &SbifHooks::default(),
+    );
+    let (stale, stale_stats) = forward_information(&nl, None, &sim, lazy, &SbifHooks::default());
 
     assert!(refined_stats.refinements > 0, "the SAT models must trigger refinement");
     assert_eq!(stale_stats.refinements, 0);

@@ -73,7 +73,7 @@ fn traced_run(case: &PipelineCase) -> String {
     cfg.sbif.jobs = case.jobs;
     cfg.use_sbif = case.use_sbif;
     cfg.check_vc2 = case.check_vc2;
-    cfg.certify = case.certify;
+    cfg.sbif.certify = case.certify;
     let buf = SharedBuf::default();
     let rec = Recorder::new();
     rec.attach(Box::new(NdjsonSink::new(buf.clone())));

@@ -22,7 +22,7 @@ use std::path::PathBuf;
 fn metrics_json(div: &Divider, jobs: usize, certify: bool) -> String {
     let mut cfg = VerifierConfig::default();
     cfg.sbif.jobs = jobs;
-    cfg.certify = certify;
+    cfg.sbif.certify = certify;
     let report = DividerVerifier::new(div)
         .with_config(cfg)
         .with_recorder(Recorder::new())
