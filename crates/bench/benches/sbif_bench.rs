@@ -73,8 +73,7 @@ fn write_det_artifact() {
         // amortize their setup over many windows. Pinned here so a
         // scheduling regression shows up as a baseline diff, not just a
         // timing wobble.
-        let permille =
-            if stats.spec_attempts > 0 { stats.spec_hits * 1000 / stats.spec_attempts } else { 0 };
+        let permille = (stats.spec_hits * 1000).checked_div(stats.spec_attempts).unwrap_or(0);
         det.insert(key("spec_hit_permille"), Value::Int(permille as i64));
         det.insert(key("solver_inits"), Value::Int(stats.solver_inits as i64));
         det.insert(key("batch_checks"), Value::Int(stats.batch_checks as i64));

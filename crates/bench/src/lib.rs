@@ -385,12 +385,12 @@ mod tests {
         assert!(row.sbif_checks >= row.sbif_equiv);
         assert!(row.rewrite_peak > 0);
         assert!(row.vc2_nodes > 0);
-        let rendered = render_table2(&[row.clone()]);
+        let rendered = render_table2(std::slice::from_ref(&row));
         assert!(rendered.contains("vc2"));
 
         // The JSON artifact parses, and its det subtree carries exactly
         // the machine-independent columns.
-        let json = table2_json(&[row.clone()]);
+        let json = table2_json(std::slice::from_ref(&row));
         let v = sbif_trace::json::parse(&json).expect("artifact parses");
         let det = v.as_object().unwrap()["det"].as_object().unwrap();
         assert_eq!(det["n3.sbif_equiv"].as_u64(), Some(row.sbif_equiv as u64));

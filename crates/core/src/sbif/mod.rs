@@ -51,9 +51,10 @@ pub struct SbifConfig {
     /// module documentation — checks are speculated on worker threads
     /// and committed in the sequential order).
     pub jobs: usize,
-    /// Number of window counterexamples buffered before they are folded
-    /// into the simulation signatures as a refinement word, splitting
-    /// candidate buckets so spurious pairs are not re-checked.
+    /// Number of window counterexamples buffered before a refinement
+    /// flush at the next level boundary: the first 64 of them are
+    /// simulated as one word, which splits the candidate buckets so
+    /// spurious pairs are not re-checked.
     pub cex_flush: usize,
     /// Log a DRAT proof for every window check and replay each UNSAT
     /// answer through the independent checker in `sbif-check`. A merge is
@@ -92,9 +93,9 @@ pub struct SbifStats {
     pub refuted: usize,
     /// Checks abandoned on the conflict budget.
     pub unknown: usize,
-    /// Counterexample-driven signature refinements: rounds in which
-    /// buffered SAT models were simulated and the candidate buckets
-    /// rebuilt.
+    /// Counterexample-driven refinements: rounds in which buffered SAT
+    /// models were simulated as one word and the candidate buckets
+    /// split by it.
     pub refinements: usize,
     /// Speculative checks whose results the deterministic commit could
     /// not reuse (`spec_attempts − spec_hits`). Every batch runs the
@@ -349,19 +350,17 @@ pub fn forward_information(
 ) -> (EquivClasses, SbifStats) {
     let num_words = sim_words.first().map_or(0, |v| v.len());
 
-    // Line 2 of Alg. 1: simulate; build per-signal signatures.
-    let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); nl.num_signals()];
-    for w in 0..num_words {
-        let plane: Vec<u64> = sim_words.iter().map(|v| v[w]).collect();
-        let vals = nl.simulate64(&plane);
-        for (s, &v) in vals.iter().enumerate() {
-            signatures[s].push(v);
-        }
-    }
+    // Line 2 of Alg. 1: simulate, one word (64 patterns) at a time.
+    let words: Vec<Vec<u64>> = (0..num_words)
+        .map(|w| {
+            let plane: Vec<u64> = sim_words.iter().map(|v| v[w]).collect();
+            nl.simulate64(&plane)
+        })
+        .collect();
 
     // Lines 5–11: candidate detection and window checking, fanned out
     // over `cfg.jobs` workers with a deterministic sequential commit.
-    parallel::run(nl, constraint, signatures, &cfg, hooks)
+    parallel::run(nl, constraint, &words, &cfg, hooks)
 }
 
 /// A `rep()` answer an encoding depended on: `(queried, representative,

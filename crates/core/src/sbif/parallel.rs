@@ -44,14 +44,17 @@
 //!   scan sequentially: a speculative result is reused iff its recorded
 //!   rep relations still hold (see [`Attempt::valid_for`]) — otherwise
 //!   the check re-runs in place on a fresh per-window solver;
-//! * counterexamples are folded into the simulation signatures at
-//!   **level boundaries** (once [`SbifConfig::cex_flush`] of them are
-//!   buffered), between the commit of one level and the dispatch of the
-//!   next — dispatch and commit always scan the same buckets.
+//! * counterexamples **refine** the candidate buckets at **level
+//!   boundaries** (once [`SbifConfig::cex_flush`] of them are buffered),
+//!   between the commit of one level and the dispatch of the next —
+//!   dispatch and commit always scan the same buckets. A flush packs the
+//!   counterexamples into one simulation word and splits every bucket
+//!   of two or more members by it, in place (partition refinement, see
+//!   [`Buckets`]); no signature is stored or re-hashed.
 //!
 //! Determinism: the scan order, the lane assignment (`pos % LANES`),
 //! the batch partition, and the commit order depend only on the
-//! netlist, the signatures, and the configuration — never on `jobs`,
+//! netlist, the simulation words, and the configuration — never on `jobs`,
 //! which only sets how many OS threads drain a level's lanes. Even the
 //! single-worker run executes the identical lane schedule. Classes,
 //! metrics, and every solver counter are therefore byte-identical for
@@ -69,58 +72,88 @@ use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{SolveResult, SolverStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Candidate buckets of one *signature epoch* (between two refinement
-/// flushes the signatures, and hence the buckets, are immutable and can
-/// be shared with the lanes).
-struct Epoch {
+/// The candidate buckets: signals grouped by their polarity-normalized
+/// simulation signature (complemented when the first simulated bit is
+/// set, so equivalent and antivalent signals share a bucket).
+///
+/// The signatures themselves are never stored. The partition starts as
+/// one bucket holding every signal and is refined in place by one
+/// simulation word at a time: two signals share a bucket after a word
+/// iff they shared one before it and agree on the normalized word.
+/// Between two refinement flushes the buckets are immutable and shared
+/// with the lanes.
+struct Buckets {
     /// Bucket id per signal.
     key_id: Vec<u32>,
     /// Signature normalization flip per signal (ε of Alg. 1). Depends
     /// only on the first simulation word, so it is stable across
-    /// refinements — pair keys mean the same thing in every epoch.
+    /// refinements — pair keys mean the same thing after every flush.
     flip: Vec<bool>,
-    /// Bucket members in ascending *scan-position* order.
-    buckets: Vec<Vec<Sig>>,
+    /// Members per bucket id, in ascending *scan-position* order.
+    members: Vec<Vec<Sig>>,
+    /// Whether a simulation word has been refined in yet; the first
+    /// one sets `flip`.
+    seen_word: bool,
 }
 
-impl Epoch {
+impl Buckets {
+    /// One bucket holding all signals, given in scan order.
+    fn new(order: &[Sig]) -> Self {
+        Buckets {
+            key_id: vec![0; order.len()],
+            flip: vec![false; order.len()],
+            members: vec![order.to_vec()],
+            seen_word: false,
+        }
+    }
+
     /// Candidate partners of `a`: same-bucket signals at earlier scan
     /// positions, nearest (in scan order) first.
-    fn candidates<'e>(&'e self, a: Sig, pos: &'e [usize]) -> impl Iterator<Item = Sig> + 'e {
-        let bucket = &self.buckets[self.key_id[a.index()] as usize];
+    fn candidates<'b>(&'b self, a: Sig, pos: &'b [usize]) -> impl Iterator<Item = Sig> + 'b {
+        let bucket = &self.members[self.key_id[a.index()] as usize];
         let upto = bucket.partition_point(|b| pos[b.index()] < pos[a.index()]);
         bucket[..upto].iter().rev().copied()
     }
-}
 
-/// Buckets signals by their normalized signature (complemented when the
-/// first simulated bit is set, so equivalent and antivalent signals
-/// share a bucket), members sorted by scan position.
-fn build_epoch(signatures: &[Vec<u64>], pos: &[usize]) -> Epoch {
-    let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
-    let n = signatures.len();
-    let mut key_id = Vec::with_capacity(n);
-    let mut flip = Vec::with_capacity(n);
-    let mut buckets: Vec<Vec<Sig>> = Vec::new();
-    for (i, sig) in signatures.iter().enumerate() {
-        let f = sig.first().is_some_and(|w| w & 1 == 1);
-        let key: Vec<u64> = if f { sig.iter().map(|w| !w).collect() } else { sig.clone() };
-        let next = buckets.len() as u32;
-        let id = *ids.entry(key).or_insert(next);
-        if id == next {
-            buckets.push(Vec::new());
+    /// Splits every bucket of two or more members by the normalized
+    /// value of one more simulation word (`vals[s]` for signal `s`).
+    /// Members keep their scan-position order; the first member's
+    /// sub-bucket keeps the bucket id. Single-member buckets are never
+    /// touched: buckets only split, so a lone signal never regains a
+    /// candidate.
+    fn refine(&mut self, vals: &[u64]) {
+        if !self.seen_word {
+            for (f, &v) in self.flip.iter_mut().zip(vals) {
+                *f = v & 1 == 1;
+            }
+            self.seen_word = true;
         }
-        buckets[id as usize].push(Sig(i as u32));
-        key_id.push(id);
-        flip.push(f);
+        let flip = &self.flip;
+        let key = |s: Sig| if flip[s.index()] { !vals[s.index()] } else { vals[s.index()] };
+        let mut split: HashMap<u64, u32> = HashMap::new();
+        for id in 0..self.members.len() {
+            let bucket = &self.members[id];
+            let Some(&first) = bucket.first() else { continue };
+            let k0 = key(first);
+            if bucket[1..].iter().all(|&s| key(s) == k0) {
+                continue;
+            }
+            split.clear();
+            split.insert(k0, id as u32);
+            for s in std::mem::take(&mut self.members[id]) {
+                let next = self.members.len() as u32;
+                let b = *split.entry(key(s)).or_insert(next);
+                if b == next {
+                    self.members.push(Vec::new());
+                }
+                self.members[b as usize].push(s);
+                self.key_id[s.index()] = b;
+            }
+        }
     }
-    for b in &mut buckets {
-        b.sort_unstable_by_key(|s| pos[s.index()]);
-    }
-    Epoch { key_id, flip, buckets }
 }
 
 /// One speculative check outcome, keyed by `(a, b, ε)` in the level's
@@ -244,13 +277,13 @@ impl<'nl> Lane<'nl> {
         cfg: &SbifConfig,
         prefilter: Option<&SbifPrefilter>,
         classes: &EquivClasses,
-        epoch: &Epoch,
+        buckets: &Buckets,
         pos: &[usize],
         a: Sig,
         out: &mut Vec<KeyedAttempt>,
     ) {
         let mut tried: Vec<Sig> = Vec::new();
-        for b in epoch.candidates(a, pos) {
+        for b in buckets.candidates(a, pos) {
             if tried.len() >= cfg.max_candidates {
                 break;
             }
@@ -260,7 +293,7 @@ impl<'nl> Lane<'nl> {
                 continue;
             }
             tried.push(rb);
-            let eps = epoch.flip[a.index()] == epoch.flip[b.index()];
+            let eps = buckets.flip[a.index()] == buckets.flip[b.index()];
             let t0 = Instant::now();
             let outcome =
                 match prefilter.and_then(|pf| pf.try_decide(nl, classes, a, b, eps, cfg.certify))
@@ -290,20 +323,24 @@ impl<'nl> Lane<'nl> {
 }
 
 /// Everything the commit evolves as it walks the level-major order:
-/// classes, signatures, the derived buckets, and the buffered
-/// counterexamples awaiting a refinement flush.
+/// classes, the candidate buckets, and the buffered counterexamples
+/// awaiting a refinement flush.
 struct ScanState {
     classes: EquivClasses,
-    signatures: Vec<Vec<u64>>,
-    epoch: Arc<Epoch>,
+    buckets: Buckets,
     /// Primary-input counterexamples buffered for the next flush.
     pending: Vec<Vec<bool>>,
 }
 
 impl ScanState {
-    fn new(signatures: Vec<Vec<u64>>, n: usize, pos: &[usize]) -> Self {
-        let epoch = Arc::new(build_epoch(&signatures, pos));
-        ScanState { classes: EquivClasses::new(n), signatures, epoch, pending: Vec::new() }
+    /// Starts the scan from the buckets of the initial simulation:
+    /// `words[w][s]` is signal `s`'s value in simulation word `w`.
+    fn new(words: &[Vec<u64>], order: &[Sig]) -> Self {
+        let mut buckets = Buckets::new(order);
+        for vals in words {
+            buckets.refine(vals);
+        }
+        ScanState { classes: EquivClasses::new(order.len()), buckets, pending: Vec::new() }
     }
 
     /// `true` iff a level boundary should fold the buffer now.
@@ -311,11 +348,16 @@ impl ScanState {
         !self.pending.is_empty() && self.pending.len() >= cfg.cex_flush.max(1)
     }
 
-    /// Folds the buffered counterexamples into the signatures as one
-    /// simulation word (repeating them to fill all 64 bit lanes, so no
-    /// lane carries an unconstrained all-zero pattern) and rebuilds the
-    /// buckets.
-    fn flush(&mut self, nl: &Netlist, pos: &[usize]) {
+    /// Packs the buffered counterexamples into one simulation word
+    /// (repeating them to fill all 64 bit lanes, so no lane carries an
+    /// unconstrained all-zero pattern), simulates it, and splits the
+    /// buckets by it. One word holds 64 patterns, so only the first 64
+    /// buffered counterexamples are simulated; the rest are discarded.
+    /// On the non-restoring n = 40 divider (default config), 105 of the
+    /// 160 flushes discard 5,090 counterexamples in total; simulating
+    /// all of them instead changes no class and no counter at
+    /// n = 8/24/40.
+    fn flush(&mut self, nl: &Netlist) {
         let words: Vec<u64> = (0..nl.inputs().len())
             .map(|i| {
                 let mut w = 0u64;
@@ -327,12 +369,8 @@ impl ScanState {
                 w
             })
             .collect();
-        let vals = nl.simulate64(&words);
-        for (i, &v) in vals.iter().enumerate() {
-            self.signatures[i].push(v);
-        }
+        self.buckets.refine(&nl.simulate64(&words));
         self.pending.clear();
-        self.epoch = Arc::new(build_epoch(&self.signatures, pos));
     }
 }
 
@@ -369,7 +407,7 @@ fn dispatch_level(
                 cfg,
                 prefilter,
                 &state.classes,
-                &state.epoch,
+                &state.buckets,
                 sched.pos(),
                 sched.order()[p],
                 out,
@@ -415,21 +453,20 @@ fn commit_signal(
     stats: &mut SbifStats,
     spec: &HashMap<(u32, u32, bool), Attempt>,
 ) {
+    let ScanState { classes, buckets, pending } = state;
     let mut tried: Vec<Sig> = Vec::new();
-    let epoch = Arc::clone(&state.epoch);
-    for b in epoch.candidates(a, pos) {
+    for b in buckets.candidates(a, pos) {
         if tried.len() >= cfg.max_candidates {
             break;
         }
-        let (ra, _) = state.classes.rep(a);
-        let (rb, _) = state.classes.rep(b);
+        let (ra, _) = classes.rep(a);
+        let (rb, _) = classes.rep(b);
         if ra == rb || tried.contains(&rb) {
             continue;
         }
         tried.push(rb);
         stats.candidates += 1;
-        let eps = epoch.flip[a.index()] == epoch.flip[b.index()];
-        let classes = &state.classes;
+        let eps = buckets.flip[a.index()] == buckets.flip[b.index()];
         let cached = spec.get(&(a.0, b.0, eps)).filter(|att| att.valid_for(classes));
         let (result, cex, cert, prefiltered) = match cached {
             Some(att) => {
@@ -470,13 +507,13 @@ fn commit_signal(
                     }
                 }
                 stats.proven += 1;
-                state.classes.union(a, b, !eps);
+                classes.union(a, b, !eps);
                 break;
             }
             SolveResult::Sat => {
                 stats.refuted += 1;
                 if let Some(cex) = cex {
-                    state.pending.push(cex);
+                    pending.push(cex);
                 }
             }
             SolveResult::Unknown => stats.unknown += 1,
@@ -484,15 +521,16 @@ fn commit_signal(
     }
 }
 
-/// Runs the candidate detection and window checking over `signatures`
-/// with `cfg.jobs` worker threads. The level/lane/batch structure — and
+/// Runs the candidate detection and window checking with `cfg.jobs`
+/// worker threads; `words[w][s]` is signal `s`'s value in initial
+/// simulation word `w`. The level/lane/batch structure — and
 /// with it the resulting classes and *every* statistic except
 /// wall-clock — is identical for every `jobs` value (see the module
 /// docs).
 pub(super) fn run(
     nl: &Netlist,
     constraint: Option<Sig>,
-    signatures: Vec<Vec<u64>>,
+    words: &[Vec<u64>],
     cfg: &SbifConfig,
     hooks: &SbifHooks,
 ) -> (EquivClasses, SbifStats) {
@@ -507,7 +545,7 @@ pub(super) fn run(
         .unwrap_or_else(|| nl.levels());
     let sched = LevelSchedule::from_levels(levels, BATCH_SIGNALS);
     let mut stats = SbifStats { levels: sched.num_levels(), ..SbifStats::default() };
-    let mut state = ScanState::new(signatures, n, sched.pos());
+    let mut state = ScanState::new(words, sched.order());
 
     // Governed stop check, polled before every signal commit — the
     // ledger it reads is commit-side and batch-attributed, so a budget
@@ -543,7 +581,7 @@ pub(super) fn run(
             // before the level is dispatched — dispatch and commit
             // always scan the same buckets.
             if state.wants_flush(cfg) {
-                state.flush(nl, sched.pos());
+                state.flush(nl);
                 stats.refinements += 1;
             }
             let spec = dispatch_level(
@@ -591,4 +629,118 @@ pub(super) fn run(
     stats.wasted_checks = stats.spec_attempts.saturating_sub(stats.spec_hits);
     state.classes.compress();
     (state.classes, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbif_rng::XorShift64;
+
+    /// A random netlist over few inputs, so that many signals share a
+    /// signature and the buckets stay interesting over many words.
+    fn random_netlist(rng: &mut XorShift64) -> Netlist {
+        let mut nl = Netlist::new();
+        let inputs = rng.range_usize(2, 7);
+        let mut pool: Vec<Sig> = (0..inputs).map(|i| nl.input(&format!("x[{i}]"))).collect();
+        pool.push(nl.constant(rng.next_bool()));
+        for _ in 0..rng.range_usize(10, 120) {
+            let a = pool[rng.range_usize(0, pool.len())];
+            let b = pool[rng.range_usize(0, pool.len())];
+            let g = match rng.below(8) {
+                0 => nl.and(a, b),
+                1 => nl.or(a, b),
+                2 => nl.xor(a, b),
+                3 => nl.nand(a, b),
+                4 => nl.nor(a, b),
+                5 => nl.xnor(a, b),
+                6 => nl.and_not(a, b),
+                _ => nl.not(a),
+            };
+            pool.push(g);
+        }
+        nl
+    }
+
+    /// One simulation word: either 64 random patterns or, like a
+    /// counterexample flush, a few patterns repeated over all 64 lanes
+    /// (which splits buckets gradually).
+    fn random_word(rng: &mut XorShift64, nl: &Netlist) -> Vec<u64> {
+        let ni = nl.inputs().len();
+        let planes: Vec<u64> = if rng.below(4) == 0 {
+            (0..ni).map(|_| rng.next_u64()).collect()
+        } else {
+            let patterns: Vec<Vec<bool>> = (0..rng.range_usize(1, 4))
+                .map(|_| (0..ni).map(|_| rng.next_bool()).collect())
+                .collect();
+            (0..ni)
+                .map(|i| (0..64).filter(|&k| patterns[k % patterns.len()][i]).map(|k| 1 << k).sum())
+                .collect()
+        };
+        nl.simulate64(&planes)
+    }
+
+    /// The from-scratch grouping the refinement replaces: signals keyed
+    /// by their whole polarity-normalized signature (`history[w][s]`),
+    /// listed in scan order. Returns each signal's bucket.
+    fn reference(history: &[Vec<u64>], order: &[Sig]) -> Vec<Vec<Sig>> {
+        let mut groups: HashMap<Vec<u64>, Vec<Sig>> = HashMap::new();
+        for &s in order {
+            let flip = history.first().is_some_and(|w| w[s.index()] & 1 == 1);
+            let key = history.iter().map(|w| if flip { !w[s.index()] } else { w[s.index()] });
+            groups.entry(key.collect()).or_default().push(s);
+        }
+        let mut of = vec![Vec::new(); order.len()];
+        for members in groups.values() {
+            for &s in members {
+                of[s.index()] = members.clone();
+            }
+        }
+        of
+    }
+
+    #[test]
+    fn refinement_equals_full_signature_grouping() {
+        // Refines by a later word that split some bucket, and refines
+        // after which some bucket still holds two or more signals.
+        let (mut splits, mut shared) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = XorShift64::seed_from_u64(seed);
+            let nl = random_netlist(&mut rng);
+            let sched = LevelSchedule::new(&nl, BATCH_SIGNALS);
+            let (order, pos) = (sched.order(), sched.pos());
+            let mut buckets = Buckets::new(order);
+            let mut history: Vec<Vec<u64>> = Vec::new();
+            for _ in 0..rng.range_usize(1, 12) {
+                let singles: Vec<(usize, Vec<Sig>)> = (0..buckets.members.len())
+                    .filter(|&id| buckets.members[id].len() == 1)
+                    .map(|id| (id, buckets.members[id].clone()))
+                    .collect();
+                let vals = random_word(&mut rng, &nl);
+                let before = buckets.members.len();
+                buckets.refine(&vals);
+                history.push(vals);
+                splits += usize::from(history.len() > 1 && buckets.members.len() > before);
+                shared += usize::from(buckets.members.len() < nl.num_signals());
+
+                let expect = reference(&history, order);
+                for s in nl.signals() {
+                    let got = &buckets.members[buckets.key_id[s.index()] as usize];
+                    assert_eq!(got, &expect[s.index()], "seed {seed}: bucket of {s}");
+                    assert_eq!(buckets.flip[s.index()], history[0][s.index()] & 1 == 1);
+                }
+                let mut members = 0;
+                for (id, bucket) in buckets.members.iter().enumerate() {
+                    assert!(!bucket.is_empty(), "seed {seed}: empty bucket {id}");
+                    assert!(bucket.windows(2).all(|w| pos[w[0].index()] < pos[w[1].index()]));
+                    assert!(bucket.iter().all(|s| buckets.key_id[s.index()] as usize == id));
+                    members += bucket.len();
+                }
+                assert_eq!(members, nl.num_signals());
+                for (id, single) in singles {
+                    assert_eq!(buckets.members[id], single, "seed {seed}: singleton {id} moved");
+                }
+            }
+        }
+        assert!(splits >= 100 && shared >= 100, "vacuous: splits {splits}, shared {shared}");
+    }
 }

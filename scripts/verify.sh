@@ -26,8 +26,8 @@ echo "==> cargo test -q --offline --workspace"
 # once; the gates below only add release-binary checks.
 cargo test -q --offline --workspace
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> static-analysis gate (sbif-lint --strict)"
 # The framework-driven sbif-lint (DESIGN.md §14) in --strict mode over
