@@ -39,9 +39,7 @@ pub struct AnalysisDb {
     /// signature mismatch can be turned into a concrete input vector.
     pub shadow_planes: Vec<Vec<u64>>,
     /// Topological level per signal (strictly greater than every fanin
-    /// level). Empty until the level pass ran. The SBIF level scheduler
-    /// builds its batch geometry from this map instead of re-traversing
-    /// the netlist.
+    /// level). Empty until the level pass ran.
     pub levels: Vec<usize>,
 }
 

@@ -93,9 +93,10 @@ impl Pass for TernaryPass {
     }
 }
 
-/// Topological level map (depth per signal). The SBIF level scheduler
-/// consumes it through [`AnalysisDb::levels`] instead of re-traversing
-/// the netlist.
+/// Topological level map (depth per signal), stored in
+/// [`AnalysisDb::levels`] for `--analysis-out` and counted as
+/// `levels`/`level_width_max`. The SBIF level scheduler derives the same
+/// map from [`Netlist::levels`].
 pub struct LevelPass;
 
 impl Pass for LevelPass {

@@ -22,8 +22,9 @@
 //!   and those are sound for every check. Verdicts are therefore
 //!   exactly what a fresh per-window solver would return, modulo the
 //!   conflict-budget boundary (a shared solver may reach a verdict in a
-//!   different number of conflicts; with the default budget of 2000
-//!   against ~1–2 conflicts per window check this is unobservable).
+//!   different number of conflicts; with the [`SAT_CONFLICTS`] budget
+//!   of 2000 against ~1–2 conflicts per window check this is
+//!   unobservable).
 //!
 //! Window variables are shared through one [`NetlistEncoder`], but the
 //! *clauses* are re-added (guarded) per check: local merges between two
@@ -31,7 +32,7 @@
 //! earlier check may be stale. The per-check `encoded` set mirrors the
 //! fresh path's exactly.
 
-use super::{encode_window, EquivClasses, RepTouch, SbifConfig, WindowOutcome};
+use super::{encode_window, EquivClasses, SbifConfig, WindowOutcome, SAT_CONFLICTS};
 use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
 
@@ -104,7 +105,6 @@ impl<'a> WindowBatch<'a> {
         let before = solver.stats();
         let g = solver.new_activation();
         self.last_guard = Some(g);
-        let mut touched: Vec<RepTouch> = Vec::new();
         // The per-check `encoded` set deliberately ignores the shared
         // `C`-cone marks: the fresh path re-encodes window∩cone gates
         // too, and the guarded copies keep the clause structure (and so
@@ -117,7 +117,6 @@ impl<'a> WindowBatch<'a> {
                 solver,
                 enc,
                 &mut encoded,
-                &mut touched,
                 root,
                 self.cfg.window_depth,
                 Some(g),
@@ -132,8 +131,7 @@ impl<'a> WindowBatch<'a> {
             solver.add_clause_activated(g, [la, !lb]);
             solver.add_clause_activated(g, [!la, lb]);
         }
-        let result =
-            solver.solve_with(&[g], Budget::new().with_conflicts(self.cfg.sat_conflicts));
+        let result = solver.solve_with(&[g], Budget::new().with_conflicts(SAT_CONFLICTS));
         let cex = (result == SolveResult::Sat).then(|| {
             nl.inputs()
                 .iter()
@@ -141,11 +139,8 @@ impl<'a> WindowBatch<'a> {
                 .collect()
         });
         solver.retire_activation(g);
-        touched.sort_unstable_by_key(|&(s, r, p)| (s.0, r.0, p));
-        touched.dedup();
         WindowOutcome {
             result,
-            touched,
             cex,
             cert: None,
             solver: solver.stats().since(&before),

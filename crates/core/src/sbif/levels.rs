@@ -67,16 +67,10 @@ pub struct LevelSchedule {
 }
 
 impl LevelSchedule {
-    /// Builds the schedule from the netlist's own level map.
+    /// Builds the schedule from the netlist's level map
+    /// ([`Netlist::levels`]).
     pub fn new(nl: &Netlist, batch_signals: usize) -> Self {
-        Self::from_levels(nl.levels(), batch_signals)
-    }
-
-    /// Builds the schedule from a precomputed level map (for example the
-    /// one the static-analysis framework already derived), avoiding a
-    /// second traversal. `levels[i]` must be the topological level of
-    /// signal `i`: strictly greater than every fanin's level.
-    pub fn from_levels(levels: Vec<usize>, batch_signals: usize) -> Self {
+        let levels = nl.levels();
         let n = levels.len();
         let num_levels = levels.iter().map(|&l| l + 1).max().unwrap_or(0);
         // Counting sort by level — stable, so ties stay in index order

@@ -34,18 +34,20 @@ use sbif_check::{certify_unsat, CertOutcome, CertStats, DratStep};
 use sbif_netlist::{Gate, Netlist, Sig};
 use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
 
+/// Conflict budget per window check; exhausted checks count as "not
+/// proven" (sound: fewer merges, never wrong ones).
+pub const SAT_CONFLICTS: u64 = 2_000;
+
+/// How many distinct candidate classes a signal tries before giving up
+/// on it.
+pub const MAX_CANDIDATES: usize = 4;
+
 /// Configuration of Alg. 1.
 #[derive(Debug, Clone, Copy)]
 pub struct SbifConfig {
     /// Maximal window depth `d_max` (the paper reports depth 4 suffices
     /// for the key antivalences).
     pub window_depth: usize,
-    /// Conflict budget per SAT check; exhausted checks count as
-    /// "not proven" (sound: fewer merges, never wrong ones).
-    pub sat_conflicts: u64,
-    /// How many distinct candidate partners to try per signal before
-    /// giving up on it.
-    pub max_candidates: usize,
     /// Worker threads for the window checks. `1` runs fully in-process;
     /// any value produces bit-identical classes (see [`parallel`]'s
     /// module documentation — checks are speculated on worker threads
@@ -67,8 +69,6 @@ impl Default for SbifConfig {
     fn default() -> Self {
         SbifConfig {
             window_depth: 4,
-            sat_conflicts: 2_000,
-            max_candidates: 4,
             jobs: 1,
             cex_flush: 64,
             certify: false,
@@ -97,25 +97,18 @@ pub struct SbifStats {
     /// models were simulated as one word and the candidate buckets
     /// split by it.
     pub refinements: usize,
-    /// Speculative checks whose results the deterministic commit could
-    /// not reuse (`spec_attempts − spec_hits`). Every batch runs the
-    /// same speculative scan regardless of `jobs` — including the
-    /// single-worker run — so unlike the old pipelined engine this is a
-    /// deterministic, jobs-invariant number.
-    pub wasted_checks: usize,
     /// Wall-clock microseconds spent inside SAT checks, summed over all
     /// worker threads.
     pub sat_micros: u128,
     /// DRAT certificate statistics over the UNSAT window checks the
     /// commit relied on (all zero unless [`SbifConfig::certify`] is set).
     pub cert: CertStats,
-    /// CDCL solver effort totalled over the window checks the commit
-    /// relied on. Recorded commit-side only: each check's counters are a
-    /// pure function of its CNF encoding (itself a pure function of the
-    /// touch log), so the totals are identical for every `jobs` value —
-    /// unlike [`wasted_checks`](Self::wasted_checks) and
-    /// [`sat_micros`](Self::sat_micros), these belong in the
-    /// deterministic metrics report.
+    /// CDCL solver effort of the scan: the lane solvers' totals, absorbed
+    /// at batch boundaries in lane order, plus the commit's fresh
+    /// re-checks. Every check's encoding and solver history is fixed by
+    /// the lane schedule, so the totals are identical for every `jobs`
+    /// value — unlike [`sat_micros`](Self::sat_micros), they belong in
+    /// the deterministic metrics report.
     pub solver: SolverStats,
     /// `true` when a governed run stopped scanning candidates because
     /// the cumulative committed solver-conflict ledger reached its
@@ -145,9 +138,9 @@ pub struct SbifStats {
     /// batch partition and every batch's input are fixed by the schedule
     /// (never by `jobs`), so this is deterministic.
     pub spec_attempts: usize,
-    /// Speculative checks the deterministic commit reused (touch set
-    /// still valid). The speculation *hit rate* is
-    /// `spec_hits / spec_attempts`.
+    /// Speculative checks the deterministic commit reused. The
+    /// speculation *hit rate* is `spec_hits / spec_attempts`; the rest
+    /// are attempts the commit never asked for.
     pub spec_hits: usize,
     /// Shared incremental solvers built by the batch runners — at most
     /// one per batch, so ≥ 10× fewer than
@@ -200,11 +193,6 @@ pub struct SbifPrefilter {
     /// The input planes `[input][word]` behind `shadow`; mismatches are
     /// turned into counterexamples by reading one bit column.
     pub planes: Vec<Vec<u64>>,
-    /// Precomputed topological levels (index-addressed, one entry per
-    /// signal), letting the level scheduler reuse the traversal the
-    /// static-analysis framework already did instead of recomputing
-    /// `Netlist::levels()`. Leave empty to have the scan derive them.
-    pub levels: Vec<usize>,
 }
 
 impl SbifPrefilter {
@@ -225,9 +213,8 @@ impl SbifPrefilter {
         certify: bool,
     ) -> Option<WindowOutcome> {
         if !certify {
-            let mut touched: Vec<RepTouch> = Vec::new();
-            let ca = canon_of(nl.gate(a), |s| rep_logged(classes, &mut touched, s));
-            let cb = canon_of(nl.gate(b), |s| rep_logged(classes, &mut touched, s));
+            let ca = canon_of(nl.gate(a), |s| classes.rep(s));
+            let cb = canon_of(nl.gate(b), |s| classes.rep(s));
             // Forced relation a = b ^ anti, when the forms expose one.
             // Besides identical shapes, `a` may alias `b` directly: the
             // window maps `a`'s fanin to its representative, and when
@@ -248,11 +235,8 @@ impl SbifPrefilter {
                 // contradict a fact that holds under C — impossible with
                 // C-satisfying stimulus — so fall through defensively.
                 if anti != same_polarity {
-                    touched.sort_unstable_by_key(|&(s, r, p)| (s.0, r.0, p));
-                    touched.dedup();
                     return Some(WindowOutcome {
                         result: SolveResult::Unsat,
-                        touched,
                         cex: None,
                         cert: None,
                         solver: SolverStats::default(),
@@ -261,8 +245,7 @@ impl SbifPrefilter {
                 }
             }
         }
-        // Shadow-signature refutation: a pure function of `(a, b, ε)` —
-        // the empty touch log makes cached outcomes always reusable.
+        // Shadow-signature refutation: a pure function of `(a, b, ε)`.
         let (sa, sb) = (self.shadow.get(a.index())?, self.shadow.get(b.index())?);
         for (w, (&wa, &wb)) in sa.iter().zip(sb).enumerate() {
             let mismatch = if same_polarity { wa ^ wb } else { !(wa ^ wb) };
@@ -271,7 +254,6 @@ impl SbifPrefilter {
                 let cex = self.planes.iter().map(|p| (p[w] >> k) & 1 == 1).collect();
                 return Some(WindowOutcome {
                     result: SolveResult::Sat,
-                    touched: Vec::new(),
                     cex: Some(cex),
                     cert: None,
                     solver: SolverStats::default(),
@@ -363,18 +345,6 @@ pub fn forward_information(
     parallel::run(nl, constraint, &words, &cfg, hooks)
 }
 
-/// A `rep()` answer an encoding depended on: `(queried, representative,
-/// polarity)`. The parallel commit replays these to decide whether a
-/// speculative result is still valid.
-pub type RepTouch = (Sig, Sig, bool);
-
-/// The representative of `s`, recorded in the touch log.
-fn rep_logged(classes: &EquivClasses, touched: &mut Vec<RepTouch>, s: Sig) -> (Sig, bool) {
-    let (r, p) = classes.rep(s);
-    touched.push((s, r, p));
-    (r, p)
-}
-
 /// One windowed SAT check (line 10 of Alg. 1):
 /// `UNSAT(CNF(a ⊕ b^ε, W_a, W_b, C))`.
 ///
@@ -384,16 +354,12 @@ fn rep_logged(classes: &EquivClasses, touched: &mut Vec<RepTouch>, s: Sig) -> (S
 /// keeps UNSAT answers sound. The constraint cone is encoded over the
 /// original gates.
 ///
-/// Returns the solver verdict, the touch log (every representative the
-/// encoding depended on — the encoding, and hence the verdict and model,
-/// is a pure function of it), for SAT verdicts the primary-input
+/// Returns the solver verdict, for SAT verdicts the primary-input
 /// counterexample, and with [`SbifConfig::certify`] the DRAT-check
-/// outcome of every UNSAT verdict. Because the encoding is a pure
-/// function of the touch log, so is the logged proof — a cached result
-/// replayed by the deterministic commit carries the same certificate.
-/// The same argument covers the solver counters: the CDCL run is
-/// deterministic (conflict budget, no wall-clock cutoffs), so the
-/// returned [`SolverStats`] are reproducible per touch log.
+/// outcome of every UNSAT verdict. The encoding is a pure function of
+/// `(a, b, ε)` and the classes, and the CDCL run is deterministic
+/// (conflict budget, no wall-clock cutoffs), so the verdict, the model,
+/// the proof and the returned [`SolverStats`] are reproducible.
 ///
 /// Public as the reference oracle for the batched path: a
 /// [`WindowBatch`] check of the same `(a, b, ε)` over the same classes
@@ -420,7 +386,6 @@ pub fn check_window_pair(
         solver.enable_proof_log();
     }
     let mut enc = NetlistEncoder::new(nl);
-    let mut touched: Vec<RepTouch> = Vec::new();
     if let Some(c) = constraint {
         enc.encode_cone(&mut solver, nl, c);
         let lc = enc.lit(&mut solver, c);
@@ -435,7 +400,6 @@ pub fn check_window_pair(
             &mut solver,
             &mut enc,
             &mut encoded,
-            &mut touched,
             root,
             cfg.window_depth,
             None,
@@ -451,7 +415,7 @@ pub fn check_window_pair(
         solver.add_clause([la, !lb]);
         solver.add_clause([!la, lb]);
     }
-    let result = solver.solve_with(&[], Budget::new().with_conflicts(cfg.sat_conflicts));
+    let result = solver.solve_with(&[], Budget::new().with_conflicts(SAT_CONFLICTS));
     let cex = (result == SolveResult::Sat).then(|| {
         nl.inputs()
             .iter()
@@ -460,23 +424,18 @@ pub fn check_window_pair(
             })
             .collect()
     });
-    touched.sort_unstable_by_key(|&(s, r, p)| (s.0, r.0, p));
-    touched.dedup();
     let cert =
         (cfg.certify && result == SolveResult::Unsat).then(|| certify_solver_unsat(&solver));
-    WindowOutcome { result, touched, cex, cert, solver: solver.stats(), prefiltered: None }
+    WindowOutcome { result, cex, cert, solver: solver.stats(), prefiltered: None }
 }
 
-/// Everything one windowed SAT check produced — all of it a pure
-/// function of `(a, b, ε)` and the touch log (see
-/// [`check_window_pair`]), which is what lets the parallel commit reuse
-/// speculative outcomes without perturbing any statistic.
+/// Everything one windowed SAT check produced. The parallel commit
+/// reuses speculative outcomes as they are (see the `parallel` module
+/// docs for why that is sound and deterministic).
 #[derive(Debug, Clone)]
 pub struct WindowOutcome {
     /// The solver verdict.
     pub result: SolveResult,
-    /// Every `rep()` answer the encoding depended on.
-    pub touched: Vec<RepTouch>,
     /// Primary-input counterexample for SAT verdicts.
     pub cex: Option<Vec<bool>>,
     /// DRAT-check outcome for certified UNSAT verdicts.
@@ -536,7 +495,6 @@ fn encode_window(
     solver: &mut Solver,
     enc: &mut NetlistEncoder,
     encoded: &mut std::collections::HashSet<Sig>,
-    touched: &mut Vec<RepTouch>,
     root: Sig,
     depth: usize,
     guard: Option<Lit>,
@@ -553,7 +511,7 @@ fn encode_window(
                 emit_clause(solver, guard, [if v { out } else { !out }]);
             }
             Gate::Unary(op, x) => {
-                let lx = mapped_lit(classes, solver, enc, touched, x);
+                let lx = mapped_lit(classes, solver, enc, x);
                 let rhs = match op {
                     sbif_netlist::UnaryOp::Buf => lx,
                     sbif_netlist::UnaryOp::Not => !lx,
@@ -561,16 +519,16 @@ fn encode_window(
                 emit_clause(solver, guard, [!out, rhs]);
                 emit_clause(solver, guard, [out, !rhs]);
                 if d < depth {
-                    queue.push((rep_logged(classes, touched, x).0, d + 1));
+                    queue.push((classes.rep(x).0, d + 1));
                 }
             }
             Gate::Binary(op, x, y) => {
-                let lx = mapped_lit(classes, solver, enc, touched, x);
-                let ly = mapped_lit(classes, solver, enc, touched, y);
+                let lx = mapped_lit(classes, solver, enc, x);
+                let ly = mapped_lit(classes, solver, enc, y);
                 add_binop_clauses(solver, guard, op, out, lx, ly);
                 if d < depth {
-                    queue.push((rep_logged(classes, touched, x).0, d + 1));
-                    queue.push((rep_logged(classes, touched, y).0, d + 1));
+                    queue.push((classes.rep(x).0, d + 1));
+                    queue.push((classes.rep(y).0, d + 1));
                 }
             }
         }
@@ -583,10 +541,9 @@ fn mapped_lit(
     classes: &EquivClasses,
     solver: &mut Solver,
     enc: &mut NetlistEncoder,
-    touched: &mut Vec<RepTouch>,
     s: Sig,
 ) -> Lit {
-    let (r, neg) = rep_logged(classes, touched, s);
+    let (r, neg) = classes.rep(s);
     let l = enc.lit(solver, r);
     if neg {
         !l

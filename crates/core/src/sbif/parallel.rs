@@ -27,10 +27,10 @@
 //! * the **level is the barrier**: all window checks of level `L` are
 //!   dispatched speculatively against the committed state after level
 //!   `L−1`, and level `L` is committed before level `L+1` is
-//!   dispatched. A window of level `L` only touches representatives at
-//!   levels `< L`, all committed — the speculative verdicts are valid
-//!   by construction, except where two same-level scans interact
-//!   through a merge (validated per attempt, re-checked on the spot);
+//!   dispatched. A window of level `L` only reads representatives at
+//!   levels `< L`, all committed, so the commit reuses every
+//!   speculative outcome it finds (see *Why reuse needs no check*
+//!   below);
 //! * within a level, the signals' candidate scans are distributed
 //!   round-robin over [`LANES`] fixed lanes; each lane batches all its
 //!   window encodings into **one shared incremental SAT solver**
@@ -40,10 +40,12 @@
 //!   whole levels with at least [`BATCH_SIGNALS`] signals —
 //!   which amortizes solver setup across many levels while bounding
 //!   retired-clause growth;
-//! * the coordinator **commits** each level by replaying the candidate
-//!   scan sequentially: a speculative result is reused iff its recorded
-//!   rep relations still hold (see [`Attempt::valid_for`]) — otherwise
-//!   the check re-runs in place on a fresh per-window solver;
+//! * the coordinator **commits** each level by running the same
+//!   candidate scan ([`scan_candidates`]) sequentially, served from the
+//!   level's speculative outcomes. A same-level merge can move a
+//!   signal's scan past the dispatch's [`MAX_CANDIDATES`] cut; only
+//!   those candidates, which the dispatch never tried, are checked on
+//!   the spot with a fresh per-window solver;
 //! * counterexamples **refine** the candidate buckets at **level
 //!   boundaries** (once [`SbifConfig::cex_flush`] of them are buffered),
 //!   between the commit of one level and the dispatch of the next —
@@ -52,6 +54,34 @@
 //!   of two or more members by it, in place (partition refinement, see
 //!   [`Buckets`]); no signature is stored or re-hashed.
 //!
+//! # Why reuse needs no check
+//!
+//! A speculative outcome of level `L` was computed over the classes
+//! committed after level `L−1`, and the commit reads it after some
+//! level-`L` merges. Nothing those merges do can contradict it:
+//!
+//! 1. classes only grow, so every relation `s = rep(s) ^ p` a window
+//!    read still holds at commit;
+//! 2. a scanned signal stays a singleton until its own scan: a merge
+//!    only joins the signal being scanned to one of its candidates, and
+//!    all of a signal's candidates come before it in the scan order. So
+//!    a level-`L` commit only adds one level-`L` signal to an existing
+//!    class;
+//! 3. every signal a level-`L` window reads through `rep()` — a fanin
+//!    and its representative — sits at a lower level: fanins do, and at
+//!    the level boundary their classes hold only signals already
+//!    scanned. Since a level-`L` commit only adds a level-`L` signal to
+//!    a class, no level-`L` commit can identify two signals that a
+//!    speculative window kept apart.
+//!
+//! A reused verdict is therefore sound — every class fact it was encoded
+//! over is proven and still holds — and deterministic, because the lane
+//! schedule does not depend on `jobs`. It is not always what a re-run
+//! would answer: a same-level merge into a lower-index class relabels
+//! that class's representative, and a re-run would encode the new one.
+//! The commit never re-runs a check the dispatch made, so no statistic
+//! depends on that difference.
+//!
 //! Determinism: the scan order, the lane assignment (`pos % LANES`),
 //! the batch partition, and the commit order depend only on the
 //! netlist, the simulation words, and the configuration — never on `jobs`,
@@ -59,15 +89,14 @@
 //! single-worker run executes the identical lane schedule. Classes,
 //! metrics, and every solver counter are therefore byte-identical for
 //! any worker count; lane solver effort is attributed **per batch** (at
-//! the batch's end, in lane order), fresh commit-side re-checks per
-//! check, which keeps governed conflict budgets deterministic too.
+//! the batch's end, in lane order), fresh commit-side checks per check,
+//! which keeps governed conflict budgets deterministic too.
 
 use super::levels::{LevelSchedule, BATCH_SIGNALS, LANES};
 use super::{
-    check_window_pair, EquivClasses, Prefiltered, RepTouch, SbifConfig, SbifHooks, SbifPrefilter,
-    SbifStats, WindowBatch, WindowOutcome,
+    check_window_pair, EquivClasses, Prefiltered, SbifConfig, SbifHooks, SbifPrefilter, SbifStats,
+    WindowBatch, WindowOutcome, MAX_CANDIDATES,
 };
-use sbif_check::CertOutcome;
 use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{SolveResult, SolverStats};
 use std::collections::HashMap;
@@ -121,8 +150,8 @@ impl Buckets {
     /// Splits every bucket of two or more members by the normalized
     /// value of one more simulation word (`vals[s]` for signal `s`).
     /// Members keep their scan-position order; the first member's
-    /// sub-bucket keeps the bucket id. Single-member buckets are never
-    /// touched: buckets only split, so a lone signal never regains a
+    /// sub-bucket keeps the bucket id. Single-member buckets are left
+    /// alone: buckets only split, so a lone signal never regains a
     /// candidate.
     fn refine(&mut self, vals: &[u64]) {
         if !self.seen_word {
@@ -156,86 +185,36 @@ impl Buckets {
     }
 }
 
-/// One speculative check outcome, keyed by `(a, b, ε)` in the level's
-/// attempt map. Everything here is a pure function of the committed
-/// level-boundary state and the lane schedule, so the maps are
-/// identical for any worker count.
-struct Attempt {
-    result: SolveResult,
-    /// Every `rep()` answer the encoding depended on; see
-    /// [`valid_for`](Self::valid_for).
-    touched: Vec<RepTouch>,
-    /// Primary-input counterexample for SAT outcomes.
-    cex: Option<Vec<bool>>,
-    /// DRAT-check outcome for UNSAT verdicts under
-    /// [`SbifConfig::certify`]. Rides with the attempt so a cache hit at
-    /// commit time reports the same certificate as a fresh check (the
-    /// proof is a pure function of the touch set).
-    cert: Option<CertOutcome>,
-    /// Prefilter verdict marker; a pure function of the touch set
-    /// (structural) or of `(a, b, ε)` alone (signature), so cache hits
-    /// report it faithfully.
-    prefiltered: Option<Prefiltered>,
-}
-
-impl Attempt {
-    /// Whether the speculative verdict is still valid for the commit's
-    /// `classes`. Representative *labels* alone do not matter — a
-    /// same-level merge into a lower-index class relabels
-    /// representatives without changing any function:
-    ///
-    /// 1. Every recorded relation `s = r ^ p` must still be *implied*
-    ///    by the commit classes — the encoding identified variables
-    ///    based on it, so a retracted relation voids the formula.
-    /// 2. For non-UNSAT verdicts the commit classes must not identify
-    ///    any two touched signals the speculation kept distinct: new
-    ///    identifications only *strengthen* the window formula, which
-    ///    preserves UNSAT but can turn SAT into UNSAT (this is exactly
-    ///    the forwarded information of Alg. 1 — those windows must
-    ///    re-run to profit from it).
-    fn valid_for(&self, classes: &EquivClasses) -> bool {
-        for &(s, r, p) in &self.touched {
-            let (rs, ps) = classes.rep(s);
-            let (rr, pr) = classes.rep(r);
-            if rs != rr || ps != (pr ^ p) {
-                return false;
-            }
+/// The candidate scan of one signal `a` (lines 6–11 of Alg. 1), shared
+/// by the speculative dispatch and the commit: same-bucket partners,
+/// nearest first, skipping `a`'s own class and classes already tried,
+/// up to [`MAX_CANDIDATES`] classes. `decide(b, ε)` checks one candidate
+/// and says whether it proves a merge; the scan stops at the first one
+/// and returns it.
+fn scan_candidates(
+    classes: &EquivClasses,
+    buckets: &Buckets,
+    pos: &[usize],
+    a: Sig,
+    mut decide: impl FnMut(Sig, bool) -> bool,
+) -> Option<(Sig, bool)> {
+    let (ra, _) = classes.rep(a);
+    let mut tried: Vec<Sig> = Vec::new();
+    for b in buckets.candidates(a, pos) {
+        if tried.len() >= MAX_CANDIDATES {
+            break;
         }
-        if self.result != SolveResult::Unsat {
-            // Map commit representative → speculation representative;
-            // two spec-distinct reps collapsing onto one commit rep is
-            // a new identification.
-            let mut seen: HashMap<Sig, Sig> = HashMap::new();
-            for &(s, r, _) in &self.touched {
-                let (rs, _) = classes.rep(s);
-                match seen.entry(rs) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if *e.get() != r {
-                            return false;
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(r);
-                    }
-                }
-            }
+        let (rb, _) = classes.rep(b);
+        if ra == rb || tried.contains(&rb) {
+            continue;
         }
-        true
-    }
-}
-
-impl From<WindowOutcome> for Attempt {
-    fn from(o: WindowOutcome) -> Self {
-        // The per-check solver delta is dropped: solver effort of the
-        // lane path is attributed per *batch* (see `Lane`).
-        Attempt {
-            result: o.result,
-            touched: o.touched,
-            cex: o.cex,
-            cert: o.cert,
-            prefiltered: o.prefiltered,
+        tried.push(rb);
+        let eps = buckets.flip[a.index()] == buckets.flip[b.index()];
+        if decide(b, eps) {
+            return Some((b, eps));
         }
     }
+    None
 }
 
 /// One speculation lane: a shared window solver plus this lane's
@@ -264,11 +243,9 @@ impl<'nl> Lane<'nl> {
     }
 
     /// Speculatively runs the candidate scan of one signal against the
-    /// committed level-boundary state, recording every attempt. The
-    /// chainlet mirrors the commit's control flow exactly — including
-    /// the break on the first accepted merge — so for a signal whose
-    /// scan no same-level merge perturbs, the commit replays this
-    /// attempt list verbatim.
+    /// committed level-boundary state, recording every outcome. The
+    /// outcomes' per-check solver deltas are not used: lane solver
+    /// effort is attributed per batch.
     #[allow(clippy::too_many_arguments)]
     fn scan_signal(
         &mut self,
@@ -280,20 +257,9 @@ impl<'nl> Lane<'nl> {
         buckets: &Buckets,
         pos: &[usize],
         a: Sig,
-        out: &mut Vec<KeyedAttempt>,
+        out: &mut Vec<(PairKey, WindowOutcome)>,
     ) {
-        let mut tried: Vec<Sig> = Vec::new();
-        for b in buckets.candidates(a, pos) {
-            if tried.len() >= cfg.max_candidates {
-                break;
-            }
-            let (ra, _) = classes.rep(a);
-            let (rb, _) = classes.rep(b);
-            if ra == rb || tried.contains(&rb) {
-                continue;
-            }
-            tried.push(rb);
-            let eps = buckets.flip[a.index()] == buckets.flip[b.index()];
+        scan_candidates(classes, buckets, pos, a, |b, eps| {
             let t0 = Instant::now();
             let outcome =
                 match prefilter.and_then(|pf| pf.try_decide(nl, classes, a, b, eps, cfg.certify))
@@ -314,11 +280,9 @@ impl<'nl> Lane<'nl> {
             // not merge, so the scan continues past it.
             let proven = outcome.result == SolveResult::Unsat
                 && outcome.cert.as_ref().is_none_or(|c| c.accepted);
-            out.push(((a.0, b.0, eps), Attempt::from(outcome)));
-            if proven {
-                break;
-            }
-        }
+            out.push(((a.0, b.0, eps), outcome));
+            proven
+        });
     }
 }
 
@@ -374,14 +338,15 @@ impl ScanState {
     }
 }
 
-/// One speculative attempt keyed by its `(a, b, ε)` candidate triple.
-type KeyedAttempt = ((u32, u32, bool), Attempt);
+/// A candidate pair `(a, b, ε)`, the key of a level's speculative
+/// outcomes.
+type PairKey = (u32, u32, bool);
 
-/// Runs the speculation phase of one level: every signal's scan
-/// chainlet on its assigned lane, on `jobs` OS threads when more than
-/// one lane has work. Returns the merged attempt map (merge order is
-/// lane order — deterministic, and keys are unique since each scan owns
-/// its root signal).
+/// Runs the speculation phase of one level: every signal's candidate
+/// scan on its assigned lane, on `jobs` OS threads when more than one
+/// lane has work. Returns the merged outcome map (merge order is lane
+/// order — deterministic, and keys are unique since each scan owns its
+/// root signal).
 #[allow(clippy::too_many_arguments)]
 fn dispatch_level(
     nl: &Netlist,
@@ -393,12 +358,12 @@ fn dispatch_level(
     run: std::ops::Range<usize>,
     lanes: &[Mutex<Lane<'_>>],
     jobs: usize,
-) -> HashMap<(u32, u32, bool), Attempt> {
+) -> HashMap<PairKey, WindowOutcome> {
     // Lane assignment by global scan position: deterministic, and
     // spreads work evenly across lane solvers.
     let mine = |lane: usize| run.clone().filter(move |p| p % LANES == lane);
     let busy = (0..LANES).filter(|&l| mine(l).next().is_some()).count();
-    let scan_lane = |lane: usize, out: &mut Vec<KeyedAttempt>| {
+    let scan_lane = |lane: usize, out: &mut Vec<(PairKey, WindowOutcome)>| {
         let mut guard = lanes[lane].lock().expect("lane poisoned");
         for p in mine(lane) {
             guard.scan_signal(
@@ -414,13 +379,13 @@ fn dispatch_level(
             );
         }
     };
-    let mut per_lane: Vec<Vec<KeyedAttempt>> = (0..LANES).map(|_| Vec::new()).collect();
+    let mut per_lane: Vec<Vec<(PairKey, WindowOutcome)>> = (0..LANES).map(|_| Vec::new()).collect();
     if jobs <= 1 || busy <= 1 {
         for (lane, out) in per_lane.iter_mut().enumerate() {
             scan_lane(lane, out);
         }
     } else {
-        let slots: Vec<Mutex<&mut Vec<KeyedAttempt>>> =
+        let slots: Vec<Mutex<&mut Vec<(PairKey, WindowOutcome)>>> =
             per_lane.iter_mut().map(Mutex::new).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -440,7 +405,8 @@ fn dispatch_level(
 }
 
 /// Commits one signal: the sequential candidate scan of Alg. 1, served
-/// from the level's speculative attempts where they are still valid.
+/// from the level's speculative outcomes (taken out of `spec` as they
+/// are used).
 #[allow(clippy::too_many_arguments)]
 fn commit_signal(
     nl: &Netlist,
@@ -451,73 +417,67 @@ fn commit_signal(
     pos: &[usize],
     state: &mut ScanState,
     stats: &mut SbifStats,
-    spec: &HashMap<(u32, u32, bool), Attempt>,
+    spec: &mut HashMap<PairKey, WindowOutcome>,
 ) {
     let ScanState { classes, buckets, pending } = state;
-    let mut tried: Vec<Sig> = Vec::new();
-    for b in buckets.candidates(a, pos) {
-        if tried.len() >= cfg.max_candidates {
-            break;
-        }
-        let (ra, _) = classes.rep(a);
-        let (rb, _) = classes.rep(b);
-        if ra == rb || tried.contains(&rb) {
-            continue;
-        }
-        tried.push(rb);
+    let merge = scan_candidates(classes, buckets, pos, a, |b, eps| {
         stats.candidates += 1;
-        let eps = buckets.flip[a.index()] == buckets.flip[b.index()];
-        let cached = spec.get(&(a.0, b.0, eps)).filter(|att| att.valid_for(classes));
-        let (result, cex, cert, prefiltered) = match cached {
-            Some(att) => {
-                // The speculative verdict is valid; its solver effort is
-                // already in the ledger via the lane totals.
+        let o = match spec.remove(&(a.0, b.0, eps)) {
+            Some(o) => {
+                // Its solver effort is already in the ledger via the
+                // lane totals.
                 stats.spec_hits += 1;
-                (att.result, att.cex.clone(), att.cert.clone(), att.prefiltered)
+                o
             }
             None => {
                 let t0 = Instant::now();
                 let o = check_window_pair(nl, classes, constraint, a, b, eps, cfg, prefilter);
                 stats.sat_micros += t0.elapsed().as_micros();
-                // Fresh re-checks are the only per-check attribution
-                // left; everything else lands per batch.
+                // Fresh checks are the only per-check attribution left;
+                // everything else lands per batch.
                 stats.solver.absorb(o.solver);
-                (o.result, o.cex, o.cert, o.prefiltered)
+                o
             }
         };
         stats.sat_checks += 1;
         // Prefilter accounting, commit side only (jobs-invariant like
         // every other logical statistic).
-        match prefiltered {
+        match o.prefiltered {
             None => stats.windows_solved += 1,
             Some(Prefiltered::Structural) => stats.prefilter_proven += 1,
             Some(Prefiltered::Signature) => stats.prefilter_refuted += 1,
         }
-        match result {
+        match o.result {
             SolveResult::Unsat => {
                 // Under `certify`, the merge is gated on the independent
                 // checker accepting the logged refutation. Certificates
                 // are recorded here (commit side only), so the stats are
                 // identical for every `jobs` value.
-                if let Some(c) = &cert {
+                if let Some(c) = &o.cert {
                     stats.cert.record(c);
                     if !c.accepted {
                         stats.unknown += 1;
-                        continue;
+                        return false;
                     }
                 }
                 stats.proven += 1;
-                classes.union(a, b, !eps);
-                break;
+                true
             }
             SolveResult::Sat => {
                 stats.refuted += 1;
-                if let Some(cex) = cex {
+                if let Some(cex) = o.cex {
                     pending.push(cex);
                 }
+                false
             }
-            SolveResult::Unknown => stats.unknown += 1,
+            SolveResult::Unknown => {
+                stats.unknown += 1;
+                false
+            }
         }
+    });
+    if let Some((b, eps)) = merge {
+        classes.union(a, b, !eps);
     }
 }
 
@@ -534,16 +494,9 @@ pub(super) fn run(
     cfg: &SbifConfig,
     hooks: &SbifHooks,
 ) -> (EquivClasses, SbifStats) {
-    let n = nl.num_signals();
     let jobs = cfg.jobs.max(1);
     let prefilter = hooks.prefilter.as_ref();
-    // Reuse the analysis framework's level map when the prefilter
-    // carries one; recompute only without it.
-    let levels = prefilter
-        .map(|p| p.levels.clone())
-        .filter(|l| l.len() == n)
-        .unwrap_or_else(|| nl.levels());
-    let sched = LevelSchedule::from_levels(levels, BATCH_SIGNALS);
+    let sched = LevelSchedule::new(nl, BATCH_SIGNALS);
     let mut stats = SbifStats { levels: sched.num_levels(), ..SbifStats::default() };
     let mut state = ScanState::new(words, sched.order());
 
@@ -584,7 +537,7 @@ pub(super) fn run(
                 state.flush(nl);
                 stats.refinements += 1;
             }
-            let spec = dispatch_level(
+            let mut spec = dispatch_level(
                 nl,
                 constraint,
                 cfg,
@@ -609,7 +562,7 @@ pub(super) fn run(
                     sched.pos(),
                     &mut state,
                     &mut stats,
-                    &spec,
+                    &mut spec,
                 );
             }
         }
@@ -626,7 +579,6 @@ pub(super) fn run(
             stats.sat_micros += lane.sat_micros;
         }
     }
-    stats.wasted_checks = stats.spec_attempts.saturating_sub(stats.spec_hits);
     state.classes.compress();
     (state.classes, stats)
 }

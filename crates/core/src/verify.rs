@@ -470,8 +470,8 @@ impl<'a> DividerVerifier<'a> {
         }
         let (classes, sbif_stats) = if self.config.use_sbif {
             // Static analysis first: its facts (shadow signatures,
-            // structural forms, the level map) prefilter the window
-            // checks without changing the classes.
+            // structural forms) prefilter the window checks without
+            // changing the classes.
             let span = self.recorder.span("analysis");
             let db = analyze(&div.netlist, &self.analysis_config()?, &self.recorder);
             span.close();
@@ -483,11 +483,7 @@ impl<'a> DividerVerifier<'a> {
             // on the same signal for every `--jobs` value. All-`None`
             // governors poll nothing and change nothing.
             let hooks = SbifHooks {
-                prefilter: Some(SbifPrefilter {
-                    shadow: db.shadow,
-                    planes: db.shadow_planes,
-                    levels: db.levels,
-                }),
+                prefilter: Some(SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes }),
                 conflict_budget: g.sbif_conflicts,
                 cancel: cancel.cloned(),
             };

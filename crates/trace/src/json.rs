@@ -5,11 +5,19 @@
 //! and a small recursive-descent [`parse`] used by the NDJSON stream
 //! checker and the tests. The parser accepts standard JSON (RFC 8259)
 //! minus the corners the trace formats never produce: numbers are read
-//! as `i64`/`f64`, and `\uXXXX` escapes outside the BMP are kept as
-//! replacement characters rather than paired surrogates.
+//! as `i64`/`f64`, `\uXXXX` escapes outside the BMP are kept as
+//! replacement characters rather than paired surrogates, and arrays and
+//! objects nest at most [`MAX_DEPTH`] levels deep.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// How deeply [`parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so without a cap one long line of `[` could
+/// overflow the stack of whatever thread parses it (`sbif-serve` parses
+/// every request line). The deepest document the workspace writes,
+/// `--analysis-out`, nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Escapes `s` as the *contents* of a JSON string (no surrounding
 /// quotes).
@@ -164,7 +172,11 @@ impl Value {
 /// ```
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -177,6 +189,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +219,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -215,6 +229,24 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object (`container`) one level deeper,
+    /// refusing to go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -385,6 +417,25 @@ mod tests {
         for bad in ["{", "[1,]", "tru", "\"open", "{\"a\" 1}", "1 2", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"a\": ", "}")).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nested deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let err = parse(&nest(MAX_DEPTH + 1, "{\"a\": ", "}")).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", MAX_DEPTH * 6)), "{err}");
+        // Far past the cap the answer is the same error, not a stack
+        // overflow.
+        assert!(parse(&nest(100_000, "[", "]")).is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl MetricsFrame {
         *g = (*g).max(value);
     }
 
-    /// The current value of a counter (0 if never touched).
+    /// The current value of a counter (0 if never added to).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }

@@ -67,9 +67,8 @@
 
 use sbif::check::lint_bnet;
 use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
-use sbif::netlist::build::{
-    array_divider, nonrestoring_divider, restoring_divider, srt_divider, Divider,
-};
+use sbif::fuzz::Arch;
+use sbif::netlist::build::Divider;
 use sbif::netlist::io::{read_netlist, write_bnet, Format};
 use sbif::serve::verify_cached;
 use sbif::trace::{NdjsonSink, PrettySink, Recorder};
@@ -77,28 +76,32 @@ use sbif::cache::ResultCache;
 use std::io::Write;
 use std::process::ExitCode;
 
+/// The `--arch` names, joined by `sep`.
+fn arch_names(sep: &str) -> String {
+    Arch::all().map(Arch::name).join(sep)
+}
+
 fn usage() -> ExitCode {
+    let archs = arch_names("|");
     eprintln!(
         "usage: sbif-verify <netlist(.bnet|.aag|.bench)> [--vc1-only] [--no-sbif] [--certify]\n\
          \x20                [--max-terms N] [--jobs N] [--cache-dir DIR]\n\
          \x20                [--trace pretty|json] [--trace-out FILE] [--metrics-out FILE]\n\
          \x20                [--analysis-out FILE] [--budget-conflicts N] [--budget-terms N]\n\
          \x20                [--budget-nodes N] [--budget-sat N] [--timeout MS]\n\
-         \x20      sbif-verify --demo <n> [--arch nonrestoring|restoring|srt|array]\n\
-         \x20      sbif-verify --emit <n> <file> [--arch nonrestoring|restoring|srt|array]"
+         \x20      sbif-verify --demo <n> [--arch {archs}]\n\
+         \x20      sbif-verify --emit <n> <file> [--arch {archs}]"
     );
     ExitCode::from(2)
 }
 
-/// Builds an `n`-bit divider of the named architecture.
-fn build_arch(arch: &str, n: usize) -> Option<Divider> {
-    match arch {
-        "nonrestoring" => Some(nonrestoring_divider(n)),
-        "restoring" => Some(restoring_divider(n)),
-        "srt" => Some(srt_divider(n)),
-        "array" => Some(array_divider(n)),
-        _ => None,
+/// Parses an `--arch` value, explaining a name it does not know.
+fn parse_arch(name: &str) -> Option<Arch> {
+    let arch = Arch::parse(name);
+    if arch.is_none() {
+        eprintln!("unknown architecture {name:?} (want {})", arch_names(", "));
     }
+    arch
 }
 
 /// How the trace event stream is rendered (`--trace`).
@@ -124,14 +127,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         let arch = match (args.get(3).map(String::as_str), args.get(4)) {
-            (Some("--arch"), Some(a)) => a.as_str(),
-            (None, _) => "nonrestoring",
+            (Some("--arch"), Some(a)) => parse_arch(a),
+            (None, _) => Some(Arch::NonRestoring),
             _ => return usage(),
         };
-        let Some(div) = build_arch(arch, n) else {
-            eprintln!("unknown architecture {arch:?} (want nonrestoring, restoring, srt or array)");
-            return ExitCode::from(2);
-        };
+        let Some(arch) = arch else { return ExitCode::from(2) };
+        let div = arch.build(n);
         if let Err(e) = std::fs::write(path, write_bnet(&div.netlist)) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(2);
@@ -147,7 +148,7 @@ fn main() -> ExitCode {
     config.sbif.jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut divider: Option<Divider> = None;
     let mut demo: Option<usize> = None;
-    let mut arch = String::from("nonrestoring");
+    let mut arch = Arch::NonRestoring;
     let mut trace_mode: Option<TraceMode> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -169,7 +170,8 @@ fn main() -> ExitCode {
             }
             "--arch" => {
                 let Some(a) = args.get(i + 1) else { return usage() };
-                arch = a.clone();
+                let Some(a) = parse_arch(a) else { return ExitCode::from(2) };
+                arch = a;
                 i += 2;
             }
             "--budget-conflicts" => {
@@ -316,20 +318,7 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    if divider.is_none() {
-        if let Some(n) = demo {
-            match build_arch(&arch, n) {
-                Some(d) => divider = Some(d),
-                None => {
-                    eprintln!(
-                        "unknown architecture {arch:?} (want nonrestoring, restoring, srt or array)"
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    }
-    let Some(divider) = divider else { return usage() };
+    let Some(divider) = divider.or_else(|| demo.map(|n| arch.build(n))) else { return usage() };
     // A file target without an explicit mode means the machine stream.
     if trace_out.is_some() && trace_mode.is_none() {
         trace_mode = Some(TraceMode::Json);

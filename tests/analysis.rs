@@ -139,8 +139,7 @@ fn prefilter_prunes_windows_and_preserves_classes() {
             ..AnalysisConfig::default()
         };
         let db = analyze(&div.netlist, &acfg, &Recorder::new());
-        let pf =
-            SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes, ..SbifPrefilter::default() };
+        let pf = SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes };
         let hooks = SbifHooks { prefilter: Some(pf), ..SbifHooks::default() };
         let (classes, stats) =
             forward_information(&div.netlist, Some(div.constraint), &sim, cfg, &hooks);
@@ -187,7 +186,7 @@ fn shadow_signatures_refute_without_a_solver() {
 
     // Shadow planes include a != b: every pair is told apart up front.
     let planes = vec![vec![0b0011u64], vec![0b0101u64]];
-    let pf = SbifPrefilter { shadow: signatures(&nl, &planes), planes, ..SbifPrefilter::default() };
+    let pf = SbifPrefilter { shadow: signatures(&nl, &planes), planes };
     let hooks = SbifHooks { prefilter: Some(pf), ..SbifHooks::default() };
     let (classes, stats) = forward_information(&nl, None, &sim, SbifConfig::default(), &hooks);
     assert!(stats.prefilter_refuted > 0, "{stats:?}");

@@ -41,7 +41,7 @@ fn fingerprint(nl: &Netlist, classes: &EquivClasses, s: &SbifStats) -> String {
     }
     out.push_str(&format!(
         "| cand={} sat={} proven={} refuted={} unknown={} refine={} \
-         levels={} spec={}/{} wasted={} inits={} batch_checks={} \
+         levels={} spec={}/{} inits={} batch_checks={} \
          conflicts={} props={} exhausted={}",
         s.candidates,
         s.sat_checks,
@@ -52,7 +52,6 @@ fn fingerprint(nl: &Netlist, classes: &EquivClasses, s: &SbifStats) -> String {
         s.levels,
         s.spec_hits,
         s.spec_attempts,
-        s.wasted_checks,
         s.solver_inits,
         s.batch_checks,
         s.solver.conflicts,

@@ -21,7 +21,8 @@ fn jobs_cfg(jobs: usize) -> SbifConfig {
 /// The logical (scheduling-independent) part of the statistics. Under
 /// the level-barrier engine this includes every speculation counter:
 /// the lane schedule is a pure function of the netlist and the
-/// configuration, so even wasted work is jobs-invariant.
+/// configuration, so even speculative attempts the commit never uses
+/// are jobs-invariant.
 #[allow(clippy::type_complexity)]
 fn logical(s: &SbifStats) -> (usize, usize, usize, usize, usize, usize, usize, usize, usize, usize)
 {
@@ -63,12 +64,7 @@ fn assert_parallel_matches_sequential(div: &Divider, label: &str) {
         logical(&par_stats),
         "{label}: logical statistics diverge"
     );
-    // `jobs: 1` runs the identical lane schedule, so even the wasted
-    // speculative work matches — and nearly all speculation commits.
-    assert_eq!(
-        seq_stats.wasted_checks, par_stats.wasted_checks,
-        "{label}: wasted speculation must be jobs-invariant"
-    );
+    // Nearly all speculation commits.
     assert!(
         seq_stats.spec_hits * 2 > seq_stats.spec_attempts,
         "{label}: level-barrier speculation must mostly commit ({} of {})",

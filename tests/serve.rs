@@ -383,6 +383,10 @@ fn malformed_requests_answer_errors_without_killing_the_connection() {
     reader.read_line(&mut err_line).expect("reads");
     assert!(err_line.contains("\"ev\": \"error\""), "{err_line}");
     assert!(err_line.contains("line 1"), "{err_line}");
+    // A line nested far past the parser's depth cap is an error answer,
+    // not a stack overflow that takes the daemon down.
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    assert!(ask(&mut writer, &mut reader, &deep).contains("\"ev\": \"error\""));
     // And the connection still answers.
     assert!(ask(&mut writer, &mut reader, "{\"op\": \"ping\"}").contains("pong"));
 

@@ -1,19 +1,118 @@
-//! Property tests for the vc2 gauges and the metrics-frame algebra.
+//! Property tests for the vc2 verdict, the vc2 gauges and the
+//! metrics-frame algebra.
 //!
-//! The vc2 BDD gauges must relate the way a high-water mark relates to
-//! a final state (peak dominates final, and grows with circuit size),
-//! and the deterministic payload's merge must be a commutative monoid —
-//! that algebra is what lets the parallel SBIF engine commit
-//! worker-local frames in any order and still produce byte-identical
-//! reports (see tests/trace_report.rs for the end-to-end check).
+//! The BDD verdict of vc2 must agree with bounded SAT on the range
+//! miter, on correct dividers and on seeded mutants alike. The vc2 BDD
+//! gauges must relate the way a high-water mark relates to a final
+//! state (peak dominates final, and grows with circuit size), and the
+//! deterministic payload's merge must be a commutative monoid — that
+//! algebra is what lets the parallel SBIF engine commit worker-local
+//! frames in any order and still produce byte-identical reports (see
+//! tests/trace_report.rs for the end-to-end check).
 
 mod common;
 
 use common::prop_check;
+use sbif::cec::{vc2_sat, CecResult};
 use sbif::core::vc2::{check_vc2, Vc2Config};
-use sbif::netlist::build::nonrestoring_divider;
+use sbif::fuzz::{apply, pick, Arch, FaultModel};
+use sbif::netlist::build::{nonrestoring_divider, Divider};
+use sbif::netlist::Sig;
+use sbif::sat::Budget;
 use sbif::trace::MetricsFrame;
 use sbif_rng::XorShift64;
+
+/// Whether the `(input name, value)` assignment (unlisted inputs 0)
+/// satisfies the constraint `C` of `div` and violates `0 ≤ R < D`.
+fn violates_vc2(div: &Divider, cex: &[(String, bool)]) -> bool {
+    let nl = &div.netlist;
+    let inputs: Vec<bool> = nl
+        .inputs()
+        .iter()
+        .map(|&s| {
+            let name = nl.name(s).expect("divider inputs are named");
+            cex.iter().any(|(n, v)| n == name && *v)
+        })
+        .collect();
+    let vals = nl.simulate_bool(&inputs);
+    let value = |bits: &[Sig]| {
+        bits.iter()
+            .rev()
+            .fold(0u64, |acc, s| acc << 1 | u64::from(vals[s.index()]))
+    };
+    let r = div.remainder.bits();
+    let negative = vals[div.remainder.msb().index()];
+    vals[div.constraint.index()]
+        && (negative || value(&r[..r.len() - 1]) >= value(div.divisor.bits()))
+}
+
+/// Decides vc2 with the BDD weakest precondition and with one SAT query
+/// on the range miter; the verdicts must agree and both
+/// counterexamples must replay. Returns whether vc2 is violated.
+fn vc2_engines_agree(div: &Divider, label: &str) -> bool {
+    let bdd = check_vc2(div, Vc2Config::default());
+    assert_eq!(
+        bdd.holds,
+        bdd.counterexample.is_none(),
+        "{label}: BDD counterexample"
+    );
+    if let Some(cex) = &bdd.counterexample {
+        assert!(
+            violates_vc2(div, cex),
+            "{label}: BDD counterexample does not replay"
+        );
+    }
+    match vc2_sat(div, Budget::new(), false, None).result {
+        CecResult::Equivalent => assert!(bdd.holds, "{label}: SAT proves vc2, the BDD refutes it"),
+        CecResult::NotEquivalent(cex) => {
+            assert!(!bdd.holds, "{label}: SAT refutes vc2, the BDD proves it");
+            assert!(
+                violates_vc2(div, &cex),
+                "{label}: SAT counterexample does not replay"
+            );
+        }
+        CecResult::Unknown => panic!("{label}: SAT without a budget returned Unknown"),
+    }
+    !bdd.holds
+}
+
+#[test]
+fn bdd_and_sat_agree_on_vc2_for_every_architecture() {
+    for arch in Arch::all() {
+        for n in 2..=4 {
+            let label = format!("{arch} n={n}");
+            assert!(
+                !vc2_engines_agree(&arch.build(n), &label),
+                "{label}: correct divider violates vc2"
+            );
+        }
+    }
+}
+
+#[test]
+fn bdd_and_sat_agree_on_vc2_for_seeded_mutants() {
+    const PER_MODEL: u64 = 4;
+    let (mut mutants, mut violated) = (0, 0);
+    for arch in Arch::all() {
+        let div = arch.build(3);
+        for model in FaultModel::all() {
+            for seed in 0..PER_MODEL {
+                let mut rng = XorShift64::seed_from_u64(seed);
+                let Some((ordinal, m)) = pick(&div, model, &mut rng) else {
+                    continue;
+                };
+                let label = format!("{arch} n=3 {model:?} seed {seed} site #{ordinal}");
+                mutants += 1;
+                violated += usize::from(vc2_engines_agree(&apply(&div, &m), &label));
+            }
+        }
+    }
+    // Both verdicts must occur, or the agreement is vacuous.
+    assert!(
+        mutants >= 100 && violated >= 20 && violated + 20 <= mutants,
+        "{violated} of {mutants} violated"
+    );
+}
 
 #[test]
 fn vc2_peak_nodes_dominate_final_nodes() {
