@@ -1,7 +1,7 @@
 //! Benchmarks of the BDD-based vc2 proof (Table II cols. 8–9).
 
 use sbif_bench::harness::Harness;
-use sbif_core::vc2::{check_vc2, Vc2Config};
+use sbif_core::vc2::check_vc2;
 use sbif_netlist::build::nonrestoring_divider;
 
 fn bench_vc2(c: &mut Harness) {
@@ -9,7 +9,7 @@ fn bench_vc2(c: &mut Harness) {
         let div = nonrestoring_divider(n);
         c.bench_function(&format!("vc2_n{n}"), |b| {
             b.iter(|| {
-                let report = check_vc2(&div, Vc2Config::default());
+                let report = check_vc2(&div);
                 assert!(report.holds);
                 std::hint::black_box(report.peak_nodes);
             })

@@ -18,7 +18,7 @@ use sbif_cec::{sat_cec, sweep_cec, CecResult, SweepConfig};
 use sbif_core::rewrite::{BackwardRewriter, RewriteConfig};
 use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_core::spec::divider_spec;
-use sbif_core::vc2::{check_vc2, Vc2Config};
+use sbif_core::vc2::check_vc2;
 use sbif_core::VerifyError;
 use sbif_netlist::build::{divider_miter, nonrestoring_divider, restoring_divider};
 use sbif_netlist::io::{read_bnet, write_bnet};
@@ -241,7 +241,7 @@ pub fn table2_row(n: usize, cfg: Table2Config) -> Table2Row {
 
     // Columns 8–9: vc2 with BDDs.
     let t = Instant::now();
-    let report = check_vc2(&div, Vc2Config::default());
+    let report = check_vc2(&div);
     let vc2 = t.elapsed();
     assert!(report.holds, "vc2 must hold for the generated divider");
 

@@ -125,8 +125,12 @@ fn solve_miter(
 }
 
 /// Replays the UNSAT answer of a proof-logging solver through the
-/// independent DRAT checker of `sbif-check`.
-fn certify_solver_unsat(solver: &Solver) -> CertOutcome {
+/// independent DRAT checker in `sbif-check`.
+///
+/// The solver must have been created with `enable_proof_log()` and have
+/// just returned `Unsat`; the failed-assumption subset (empty for a
+/// plain refutation) closes the gap to the empty clause.
+pub fn certify_solver_unsat(solver: &Solver) -> CertOutcome {
     let proof = solver.proof().expect("certify requires enable_proof_log()");
     let steps: Vec<DratStep> = proof
         .steps()

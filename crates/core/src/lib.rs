@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::error::VerifyError;
     pub use crate::rewrite::{BackwardRewriter, RewriteConfig, RewriteStats};
     pub use crate::sbif::{EquivClasses, SbifConfig, SbifStats};
-    pub use crate::vc2::{check_vc2, Vc2Config, Vc2Report};
+    pub use crate::vc2::{check_vc2, Vc2Report};
     pub use crate::verify::{DividerVerifier, VerificationReport, VerifierConfig, Vc1Outcome};
     pub use sbif_netlist::build::nonrestoring_divider;
 }

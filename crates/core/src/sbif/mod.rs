@@ -30,7 +30,8 @@ pub use levels::LevelSchedule;
 pub use sim::{divider_sim_words, try_divider_sim_words};
 
 use sbif_analysis::{canon_of, relate, CanonForm};
-use sbif_check::{certify_unsat, CertOutcome, CertStats, DratStep};
+use sbif_cec::certify_solver_unsat;
+use sbif_check::{CertOutcome, CertStats};
 use sbif_netlist::{Gate, Netlist, Sig};
 use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
 
@@ -445,29 +446,6 @@ pub struct WindowOutcome {
     pub solver: SolverStats,
     /// `Some` when the prefilter answered and no solver was built.
     pub prefiltered: Option<Prefiltered>,
-}
-
-/// Replays the UNSAT answer of a proof-logging solver through the
-/// independent DRAT checker in `sbif-check`.
-///
-/// The solver must have been created with `enable_proof_log()` and have
-/// just returned `Unsat`; the failed-assumption subset (empty for a
-/// plain refutation) closes the gap to the empty clause.
-pub(crate) fn certify_solver_unsat(solver: &Solver) -> CertOutcome {
-    let proof = solver.proof().expect("certify requires enable_proof_log()");
-    let steps: Vec<DratStep> = proof
-        .steps()
-        .iter()
-        .map(|e| {
-            if e.delete {
-                DratStep::delete(e.lits.clone())
-            } else {
-                DratStep::add(e.lits.clone())
-            }
-        })
-        .collect();
-    let failed: Vec<i32> = solver.unsat_assumptions().map(|l| l.to_dimacs() as i32).collect();
-    certify_unsat(proof.formula(), &steps, &failed)
 }
 
 /// Adds a gate clause: guarded by an activation literal on the batched

@@ -15,31 +15,18 @@ use sbif_bdd::{
 };
 use sbif_netlist::build::Divider;
 
-/// Configuration of the BDD-based vc2 check.
-#[derive(Debug, Clone, Copy)]
-pub struct Vc2Config {
-    /// Initial live-node threshold that triggers dynamic (symmetric)
-    /// sifting; doubles after every pass.
-    pub reorder_threshold: usize,
-    /// Expected live-node population the manager's unique and computed
-    /// tables are pre-sized for, so the hot phase of the backward
-    /// traversal never pays for incremental rehashing. Feed this from
-    /// the `vc2.peak_live_nodes` trace gauge of a previous run of the
-    /// same divider family (DESIGN.md §13); the default covers the
-    /// small widths used in tests.
-    pub table_capacity: usize,
-}
+/// Initial live-node threshold that triggers dynamic (symmetric)
+/// sifting; doubles after every pass. It is tuned against *live* node
+/// counts: the engine's adaptive GC keeps garbage out of the population
+/// that triggers sifting, so it sits far below the old garbage-inflated
+/// threshold (at n = 32 this is the difference between a 122k and a
+/// 396k node peak — see EXPERIMENTS.md Table II).
+const REORDER_THRESHOLD: usize = 4096;
 
-impl Default for Vc2Config {
-    fn default() -> Self {
-        // The threshold is tuned against *live* node counts: the engine's
-        // adaptive GC keeps garbage out of the population that triggers
-        // sifting, so it sits far below the old garbage-inflated default
-        // (at n = 32 this is the difference between a 122k and a 396k
-        // node peak — see EXPERIMENTS.md Table II).
-        Vc2Config { reorder_threshold: 4096, table_capacity: 1 << 14 }
-    }
-}
+/// Live-node population the manager's unique and computed tables are
+/// pre-sized for (DESIGN.md §13). Larger traversals grow the tables
+/// incrementally.
+const TABLE_CAPACITY: usize = 1 << 14;
 
 /// Result of the vc2 check.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,15 +59,15 @@ pub struct Vc2Report {
 /// # Examples
 ///
 /// ```
-/// use sbif_core::vc2::{check_vc2, Vc2Config};
+/// use sbif_core::vc2::check_vc2;
 /// use sbif_netlist::build::nonrestoring_divider;
 ///
 /// let div = nonrestoring_divider(3);
-/// let report = check_vc2(&div, Vc2Config::default());
+/// let report = check_vc2(&div);
 /// assert!(report.holds);
 /// ```
-pub fn check_vc2(div: &Divider, cfg: Vc2Config) -> Vc2Report {
-    check_vc2_governed(div, cfg, None, None).expect("ungoverned vc2 always completes")
+pub fn check_vc2(div: &Divider) -> Vc2Report {
+    check_vc2_governed(div, None, None).expect("ungoverned vc2 always completes")
 }
 
 /// How far a governed vc2 BDD traversal got before giving up (the
@@ -105,13 +92,12 @@ pub struct Vc2Exhausted {
 /// DESIGN.md §16.
 pub fn check_vc2_governed(
     div: &Divider,
-    cfg: Vc2Config,
     max_live_nodes: Option<usize>,
     cancel: Option<&sbif_govern::CancelToken>,
 ) -> Result<Vc2Report, Vc2Exhausted> {
     let nl = &div.netlist;
-    let mut m = BddManager::with_table_capacity(cfg.table_capacity);
-    m.reorder_threshold = cfg.reorder_threshold;
+    let mut m = BddManager::with_table_capacity(TABLE_CAPACITY);
+    m.reorder_threshold = REORDER_THRESHOLD;
     m.set_order(&interleaved_fanin_order(nl, &div.remainder, &div.divisor));
 
     let r = BddWord::from(&div.remainder);
@@ -167,13 +153,13 @@ mod tests {
     fn vc2_holds_for_correct_dividers() {
         for n in [2usize, 3, 4, 6] {
             let div = nonrestoring_divider(n);
-            let report = check_vc2(&div, Vc2Config::default());
+            let report = check_vc2(&div);
             assert!(report.holds, "n={n}");
             assert!(report.counterexample.is_none());
             assert!(report.peak_nodes > 0);
         }
         let div = restoring_divider(4);
-        assert!(check_vc2(&div, Vc2Config::default()).holds);
+        assert!(check_vc2(&div).holds);
     }
 
     #[test]
@@ -184,7 +170,7 @@ mod tests {
         let mut bits: Vec<Sig> = broken.remainder.iter().copied().collect();
         bits.swap(0, 1);
         broken.remainder = sbif_netlist::Word::new(bits);
-        let report = check_vc2(&broken, Vc2Config::default());
+        let report = check_vc2(&broken);
         assert!(!report.holds);
         let cex = report.counterexample.expect("counterexample available");
         // Replay: the counterexample must be a valid input whose swapped
@@ -227,10 +213,10 @@ mod tests {
 
     #[test]
     fn vc2_with_aggressive_reordering() {
-        // A tiny threshold forces many sifting passes; the result must
-        // not change.
-        let div = nonrestoring_divider(4);
-        let report = check_vc2(&div, Vc2Config { reorder_threshold: 256, ..Vc2Config::default() });
+        // At n = 8 the traversal crosses the sifting threshold; the
+        // result must not change.
+        let div = nonrestoring_divider(8);
+        let report = check_vc2(&div);
         assert!(report.holds);
         assert!(report.wpc_stats.reorders > 0, "expected reordering to trigger");
     }
@@ -239,7 +225,7 @@ mod tests {
     fn governed_vc2_exhausts_on_node_budget_and_cancel() {
         let div = nonrestoring_divider(4);
         // A 1-node ceiling trips immediately and deterministically.
-        let err = check_vc2_governed(&div, Vc2Config::default(), Some(1), None)
+        let err = check_vc2_governed(&div, Some(1), None)
             .expect_err("1-node budget must exhaust");
         assert!(!err.cancelled, "budget overrun, not cancellation");
         assert!(err.live_nodes > 1);
@@ -247,12 +233,12 @@ mod tests {
         // a cancellation (no deterministic budget in play).
         let token = sbif_govern::CancelToken::new();
         token.cancel();
-        let err = check_vc2_governed(&div, Vc2Config::default(), None, Some(&token))
+        let err = check_vc2_governed(&div, None, Some(&token))
             .expect_err("cancelled token must stop the traversal");
         assert!(err.cancelled);
         // Ample budget reproduces the ungoverned result exactly.
-        let ungoverned = check_vc2(&div, Vc2Config::default());
-        let governed = check_vc2_governed(&div, Vc2Config::default(), Some(1 << 20), None)
+        let ungoverned = check_vc2(&div);
+        let governed = check_vc2_governed(&div, Some(1 << 20), None)
             .expect("ample budget completes");
         assert_eq!(governed, ungoverned);
     }
@@ -280,7 +266,7 @@ mod tests {
         };
         // R = 0, D = 0: 0 ≤ R < D is false, but C (= constant 0) implies
         // anything — vc2 vacuously holds.
-        let report = check_vc2(&div, Vc2Config::default());
+        let report = check_vc2(&div);
         assert!(report.holds);
     }
 }

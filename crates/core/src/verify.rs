@@ -4,14 +4,14 @@
 use crate::error::VerifyError;
 use crate::rewrite::{BackwardRewriter, RewriteConfig, RewriteStats};
 use crate::sbif::{
-    certify_solver_unsat, forward_information, try_divider_sim_words, EquivClasses, SbifConfig,
-    SbifHooks, SbifPrefilter, SbifStats,
+    forward_information, try_divider_sim_words, EquivClasses, SbifConfig, SbifHooks,
+    SbifPrefilter, SbifStats,
 };
 use crate::spec::divider_spec;
-use crate::vc2::{check_vc2_governed, Vc2Config, Vc2Report};
+use crate::vc2::{check_vc2_governed, Vc2Report};
 use sbif_analysis::{analyze, AnalysisConfig, AnalysisDb};
 use sbif_apint::Int;
-use sbif_cec::CecResult;
+use sbif_cec::{certify_solver_unsat, CecResult};
 use sbif_check::CertStats;
 use sbif_govern::{CancelToken, Exhausted, GovernConfig, Resource, Verdict, Watchdog};
 use sbif_netlist::build::Divider;
@@ -30,8 +30,6 @@ pub struct VerifierConfig {
     pub sbif: SbifConfig,
     /// Backward rewriting configuration (term limit, tracing).
     pub rewrite: RewriteConfig,
-    /// vc2 BDD configuration.
-    pub vc2: Vc2Config,
     /// Simulation words (64 patterns each) for candidate detection.
     pub sim_words: usize,
     /// RNG seed for the constrained simulation.
@@ -58,7 +56,6 @@ impl Default for VerifierConfig {
         VerifierConfig {
             sbif: SbifConfig::default(),
             rewrite: RewriteConfig { max_terms: Some(20_000_000), ..RewriteConfig::default() },
-            vc2: Vc2Config::default(),
             sim_words: 2,
             seed: 0xD1_71DE5,
             use_sbif: true,
@@ -283,12 +280,7 @@ impl<'a> DividerVerifier<'a> {
         let mut vc2_cancelled = false;
         if run_vc2 {
             let span = self.recorder.span("vc2");
-            match check_vc2_governed(
-                self.divider,
-                self.config.vc2,
-                g.vc2_live_nodes,
-                cancel.as_ref(),
-            ) {
+            match check_vc2_governed(self.divider, g.vc2_live_nodes, cancel.as_ref()) {
                 Ok(report) => {
                     self.record_vc2_metrics(&report);
                     vc2 = Some(report);

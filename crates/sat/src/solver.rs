@@ -36,9 +36,6 @@ pub enum SolveResult {
 pub struct Budget {
     /// Abort after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Abort after this many propagations (checked at conflicts, like
-    /// every other budget, so the cut is deterministic).
-    pub max_propagations: Option<u64>,
     /// Abort once this much wall-clock time has elapsed.
     pub timeout: Option<std::time::Duration>,
 }
@@ -52,12 +49,6 @@ impl Budget {
     /// Limits the number of conflicts.
     pub fn with_conflicts(mut self, n: u64) -> Self {
         self.max_conflicts = Some(n);
-        self
-    }
-
-    /// Limits the number of propagations.
-    pub fn with_propagations(mut self, n: u64) -> Self {
-        self.max_propagations = Some(n);
         self
     }
 
@@ -773,7 +764,6 @@ impl Solver {
         }
         let start = Instant::now();
         let start_conflicts = self.stats.conflicts;
-        let start_propagations = self.stats.propagations;
         let mut restart_idx = 0u64;
         let result = 'outer: loop {
             restart_idx += 1;
@@ -804,11 +794,6 @@ impl Solver {
                     // Budgets are only checked at conflicts.
                     if let Some(max) = budget.max_conflicts {
                         if self.stats.conflicts - start_conflicts >= max {
-                            break 'outer SolveResult::Unknown;
-                        }
-                    }
-                    if let Some(max) = budget.max_propagations {
-                        if self.stats.propagations - start_propagations >= max {
                             break 'outer SolveResult::Unknown;
                         }
                     }
@@ -1056,22 +1041,6 @@ mod tests {
         }
         let r = s.solve_with(&[], Budget::new().with_conflicts(50));
         assert_eq!(r, SolveResult::Unknown);
-        // A propagation budget cuts the same instance off too (every
-        // conflict costs at least one propagation).
-        let mut s2 = solver_with_vars((holes * pigeons) as usize);
-        for i in 0..pigeons {
-            s2.add_clause((0..holes).map(|j| p(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    s2.add_clause([!p(i1, j), !p(i2, j)]);
-                }
-            }
-        }
-        let r2 = s2.solve_with(&[], Budget::new().with_propagations(100));
-        assert_eq!(r2, SolveResult::Unknown);
-        assert!(s2.stats().propagations >= 100);
     }
 
     #[test]

@@ -82,6 +82,14 @@ for _ in $(seq 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
     '{"op": "verify", "id": 1, "demo": 6}' | grep -q '"verdict": "correct"'
 ./target/release/sbif-serve submit "$SERVE_SOCK" \
     '{"op": "verify", "id": 2, "demo": 6}' | grep -q '"cached": true'
+# A key that is no job option fails the job with an error line (submit
+# exits 1); it is never dropped in favour of the cached answer.
+SUBMIT_RC=0
+./target/release/sbif-serve submit "$SERVE_SOCK" \
+    '{"op": "verify", "id": 3, "demo": 6, "arch": "srt"}' \
+    > "$FUZZ_TMP/serve-bad.out" || SUBMIT_RC=$?
+[ "$SUBMIT_RC" -eq 1 ]
+grep -q '"ev": "error"' "$FUZZ_TMP/serve-bad.out"
 ./target/release/sbif-serve stop "$SERVE_SOCK" > /dev/null
 wait "$SERVE_PID"
 # Warm-over-cold on the fuzz side: a re-run over an unchanged corpus
@@ -110,7 +118,7 @@ echo "==> robustness gate (resource governor + crash-safe daemon)"
 # wall-clock ceiling so a hung governor fails the gate instead of
 # wedging it.
 timeout 60 ./target/release/sbif-verify --demo 6 --arch srt \
-    --budget-conflicts 1 --budget-terms 10 --timeout 5000 \
+    --budget-conflicts 1 --budget-terms 10 --timeout-ms 5000 \
     > "$FUZZ_TMP/srt-governed.out"
 # Normally the term budget trips first ("rewrite exhausted
 # rewrite-terms"); on a pathologically slow machine the 5 s watchdog

@@ -37,119 +37,58 @@
 //! too few semantic mutants), 2 = usage error.
 
 use sbif::cache::ResultCache;
+use sbif::flag_value;
 use sbif::fuzz::{default_pipeline, run_campaign, Arch, CampaignConfig, FaultModel};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
+/// Prints why the command line was rejected, then the usage text.
+fn usage(reason: &str) -> ExitCode {
     eprintln!(
-        "usage: sbif-fuzz [--smoke] [--seed N] [--jobs N] [--arch A]... [--n W]...\n\
+        "{reason}\n\
+         usage: sbif-fuzz [--smoke] [--seed N] [--jobs N] [--arch A]... [--n W]...\n\
          \x20               [--model M]... [--count K] [--certify] [--no-shrink]\n\
          \x20               [--json FILE] [--corpus-dir DIR] [--min-semantic K]\n\
          \x20               [--metrics-out FILE] [--cache-dir DIR]\n\
-         archs: nonrestoring restoring array srt\n\
+         archs: {}\n\
          models: {}",
+        Arch::all().map(|a| a.name()).join(" "),
         FaultModel::all().map(|m| m.name()).join(" ")
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    campaign(&mut std::env::args().skip(1)).unwrap_or_else(|reason| usage(&reason))
+}
+
+/// Runs the campaign the command line asks for; `Err` is a usage error.
+fn campaign(args: &mut dyn Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut cfg = CampaignConfig::default();
     let mut smoke = false;
-    let mut archs: Vec<Arch> = Vec::new();
-    let mut widths: Vec<usize> = Vec::new();
-    let mut models: Vec<FaultModel> = Vec::new();
-    let mut json_path: Option<String> = None;
-    let mut corpus_dir: Option<String> = None;
+    let (mut archs, mut widths, mut models) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut json_path, mut corpus_dir, mut metrics_out, mut cache_dir) = (None, None, None, None);
     let mut min_semantic: Option<usize> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
     cfg.jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut i = 0;
-    while i < args.len() {
-        let parse_num = |k: usize| args.get(k).and_then(|s| s.parse::<usize>().ok());
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--seed" => {
-                let Some(seed) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok())
-                else {
-                    return usage();
-                };
-                cfg.seed = seed;
-                i += 2;
-            }
-            "--jobs" => {
-                let Some(jobs) = parse_num(i + 1) else { return usage() };
-                cfg.jobs = jobs.max(1);
-                i += 2;
-            }
-            "--arch" => {
-                let Some(a) = args.get(i + 1).and_then(|s| Arch::parse(s)) else {
-                    return usage();
-                };
-                archs.push(a);
-                i += 2;
-            }
-            "--n" => {
-                let Some(w) = parse_num(i + 1) else { return usage() };
-                if w < 2 {
-                    eprintln!("divider width must be at least 2 bits");
-                    return ExitCode::from(2);
-                }
-                widths.push(w);
-                i += 2;
-            }
-            "--model" => {
-                let Some(m) = args.get(i + 1).and_then(|s| FaultModel::parse(s)) else {
-                    return usage();
-                };
-                models.push(m);
-                i += 2;
-            }
-            "--count" => {
-                let Some(k) = parse_num(i + 1) else { return usage() };
-                cfg.per_model = k;
-                i += 2;
-            }
-            "--certify" => {
-                cfg.certify = true;
-                i += 1;
-            }
-            "--no-shrink" => {
-                cfg.shrink = false;
-                i += 1;
-            }
-            "--json" => {
-                let Some(p) = args.get(i + 1) else { return usage() };
-                json_path = Some(p.clone());
-                i += 2;
-            }
-            "--corpus-dir" => {
-                let Some(p) = args.get(i + 1) else { return usage() };
-                corpus_dir = Some(p.clone());
-                i += 2;
-            }
-            "--min-semantic" => {
-                let Some(k) = parse_num(i + 1) else { return usage() };
-                min_semantic = Some(k);
-                i += 2;
-            }
-            "--metrics-out" => {
-                let Some(p) = args.get(i + 1) else { return usage() };
-                metrics_out = Some(p.clone());
-                i += 2;
-            }
-            "--cache-dir" => {
-                let Some(p) = args.get(i + 1) else { return usage() };
-                cache_dir = Some(p.clone());
-                i += 2;
-            }
-            _ => return usage(),
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--certify" => cfg.certify = true,
+            "--no-shrink" => cfg.shrink = false,
+            "--seed" => cfg.seed = flag_value(&flag, args, "a number", |s| s.parse().ok())?,
+            "--jobs" => cfg.jobs = count(&flag, args)?.max(1),
+            "--count" => cfg.per_model = count(&flag, args)?,
+            "--min-semantic" => min_semantic = Some(count(&flag, args)?),
+            "--arch" => archs.push(flag_value(&flag, args, "an architecture", Arch::parse)?),
+            "--model" => models.push(flag_value(&flag, args, "a fault model", FaultModel::parse)?),
+            "--n" => widths.push(flag_value(&flag, args, "a width of at least 2 bits", |s| {
+                s.parse().ok().filter(|&w| w >= 2)
+            })?),
+            "--json" => json_path = Some(path(&flag, args)?),
+            "--corpus-dir" => corpus_dir = Some(path(&flag, args)?),
+            "--metrics-out" => metrics_out = Some(path(&flag, args)?),
+            "--cache-dir" => cache_dir = Some(path(&flag, args)?),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
     if smoke {
@@ -184,7 +123,7 @@ fn main() -> ExitCode {
             Ok(c) => Some(c),
             Err(e) => {
                 eprintln!("cannot open cache dir {dir}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
         None => None,
@@ -201,21 +140,21 @@ fn main() -> ExitCode {
         report.record_metrics(&rec);
         if let Err(e) = std::fs::write(path, rec.finish().to_json()) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         println!("metrics report written to {path}");
     }
     if let Some(path) = &json_path {
         if let Err(e) = std::fs::write(path, report.kill_matrix_json()) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         println!("kill matrix written to {path}");
     }
     if let Some(dir) = &corpus_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         for e in &report.escapes {
             let Some(w) = &e.witness else { continue };
@@ -224,7 +163,7 @@ fn main() -> ExitCode {
                 let path = format!("{dir}/{stem}.{suffix}");
                 if let Err(err) = std::fs::write(&path, text) {
                     eprintln!("cannot write {path}: {err}");
-                    return ExitCode::from(2);
+                    return Ok(ExitCode::from(2));
                 }
             }
             println!("shrunk {} witness written to {dir}/{stem}.bnet", e.kind);
@@ -241,9 +180,13 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+}
+
+fn count(flag: &str, args: &mut dyn Iterator<Item = String>) -> Result<usize, String> {
+    flag_value(flag, args, "a count", |s| s.parse().ok())
+}
+
+fn path(flag: &str, args: &mut dyn Iterator<Item = String>) -> Result<String, String> {
+    flag_value(flag, args, "a path", |s| Some(s.to_string()))
 }

@@ -33,6 +33,7 @@
 //! job failed, rejected, or verdict not correct, 2 = usage/connection
 //! error.
 
+use sbif::flag_value;
 use sbif::serve::{Server, ServeOptions};
 use sbif::trace::json::{parse, Value};
 use std::io::{BufRead, BufReader, Write};
@@ -40,9 +41,11 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
+/// Prints why the command line was rejected, then the usage text.
+fn usage(reason: &str) -> ExitCode {
     eprintln!(
-        "usage: sbif-serve <socket> [--cache-dir DIR] [--jobs N] [--max-active N]\n\
+        "{reason}\n\
+         usage: sbif-serve <socket> [--cache-dir DIR] [--jobs N] [--max-active N]\n\
          \x20                [--metrics-out FILE]\n\
          \x20      sbif-serve submit <socket> <json-request-line>\n\
          \x20      sbif-serve stop <socket>"
@@ -53,64 +56,43 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        None => usage(),
+        None => usage("no socket given"),
         Some("submit") => match &args[1..] {
             [socket, request] => submit(socket, request),
-            _ => usage(),
+            _ => usage("submit wants a socket and one request line"),
         },
         Some("stop") => match &args[1..] {
             [socket] => submit(socket, "{\"op\": \"shutdown\"}"),
-            _ => usage(),
+            _ => usage("stop wants a socket"),
         },
-        Some(_) => daemon(&args),
+        Some(_) => daemon(args).unwrap_or_else(|reason| usage(&reason)),
     }
 }
 
-fn daemon(args: &[String]) -> ExitCode {
-    let mut socket: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
+/// Runs the daemon; `Err` is a usage error.
+fn daemon(args: Vec<String>) -> Result<ExitCode, String> {
+    let (mut socket, mut cache_dir, mut metrics_out) = (None, None, None);
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut max_active = ServeOptions::default().max_active;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cache-dir" => {
-                let Some(d) = args.get(i + 1) else { return usage() };
-                cache_dir = Some(PathBuf::from(d));
-                i += 2;
-            }
-            "--jobs" => {
-                let Some(j) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                else {
-                    return usage();
-                };
-                jobs = j.max(1);
-                i += 2;
-            }
-            "--max-active" => {
-                let Some(m) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                else {
-                    return usage();
-                };
-                max_active = m;
-                i += 2;
-            }
-            "--metrics-out" => {
-                let Some(p) = args.get(i + 1) else { return usage() };
-                metrics_out = Some(p.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return usage(),
-            path => {
-                if socket.replace(PathBuf::from(path)).is_some() {
-                    return usage();
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let args = &mut args;
+        let count = |args| flag_value(&flag, args, "a count", |s| s.parse::<usize>().ok());
+        let path = |args| flag_value(&flag, args, "a path", |s| Some(s.to_string()));
+        match flag.as_str() {
+            "--cache-dir" => cache_dir = Some(PathBuf::from(path(args)?)),
+            "--jobs" => jobs = count(args)?.max(1),
+            "--max-active" => max_active = count(args)?,
+            "--metrics-out" => metrics_out = Some(path(args)?),
+            _ if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
+            _ => {
+                if let Some(first) = socket.replace(PathBuf::from(&flag)) {
+                    return Err(format!("a second socket {flag:?} after {first:?}"));
                 }
-                i += 1;
             }
         }
     }
-    let Some(socket) = socket else { return usage() };
+    let socket = socket.ok_or("no socket given")?;
 
     let server = match Server::bind(&ServeOptions {
         socket: socket.clone(),
@@ -121,7 +103,7 @@ fn daemon(args: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", socket.display());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     println!(
@@ -135,11 +117,11 @@ fn daemon(args: &[String]) -> ExitCode {
     if let Some(path) = metrics_out {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         println!("metrics report written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Sends one request line and relays every response for it; job-scoped

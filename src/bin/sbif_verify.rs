@@ -6,13 +6,18 @@
 //!             [--cache-dir DIR] [--trace pretty|json] [--trace-out FILE]
 //!             [--metrics-out FILE] [--analysis-out FILE]
 //!             [--budget-conflicts N] [--budget-terms N] [--budget-nodes N]
-//!             [--budget-sat N] [--timeout MS]
-//! sbif-verify --demo <n> [--arch A]        # generate and verify an n-bit divider
-//! sbif-verify --emit <n> <file> [--arch A] # write an n-bit divider as BNET
+//!             [--budget-sat N] [--timeout-ms MS]
+//! sbif-verify --demo <n> [--arch A] [options] # generate and verify an n-bit divider
+//! sbif-verify --emit <n> <file> [--arch A]    # write an n-bit divider as BNET
 //! ```
 //!
 //! `--arch` picks the generated architecture: `nonrestoring` (the
-//! default), `restoring`, `srt` or `array`.
+//! default), `restoring`, `srt` or `array`. A run verifies one divider:
+//! a second netlist, `--demo` beside a netlist and `--arch` without
+//! `--demo` are usage errors. `--jobs` (default: the CPU count),
+//! `--certify`, `--vc1-only`, `--max-terms`, `--budget-*` and
+//! `--timeout-ms` are `sbif::serve::JOB_OPTIONS`, read the same way as
+//! the `sbif-serve` request keys they spell with `-` for `_`.
 //!
 //! The `--budget-*` flags attach the resource governor (DESIGN.md
 //! §16): `--budget-conflicts` caps the committed SBIF solver conflicts
@@ -23,7 +28,7 @@
 //! caps the vc2 BDD's live nodes (exhaustion falls back to a bounded
 //! SAT check of the range property, itself capped by `--budget-sat`).
 //! All of those are deterministic units — whether a budget trips is
-//! byte-identical for any `--jobs` value. `--timeout MS` arms a
+//! byte-identical for any `--jobs` value. `--timeout-ms MS` arms a
 //! wall-clock watchdog that only ever cancels; a cancelled run is
 //! reported inconclusive and never cached. A budget-limited run exits
 //! 0 with `VERDICT: inconclusive (…)` naming the exhausted stage.
@@ -63,16 +68,17 @@
 //!
 //! Exit code 0 = verified correct *or* inconclusive under a budget
 //! (the run itself succeeded; the budget was the limit), 1 =
-//! refuted/failed, 2 = usage or resource error.
+//! refuted/failed, 2 = usage or resource error. A usage error prints
+//! its reason, then the usage text.
 
-use sbif::check::lint_bnet;
-use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
-use sbif::fuzz::Arch;
-use sbif::netlist::build::Divider;
-use sbif::netlist::io::{read_netlist, write_bnet, Format};
-use sbif::serve::verify_cached;
-use sbif::trace::{NdjsonSink, PrettySink, Recorder};
 use sbif::cache::ResultCache;
+use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
+use sbif::flag_value;
+use sbif::fuzz::Arch;
+use sbif::netlist::io::{write_bnet, Format};
+use sbif::serve::{job_option, load_divider, set_job_option, verify_cached, JobOption};
+use sbif::trace::json::Value;
+use sbif::trace::{NdjsonSink, PrettySink, Recorder};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -81,27 +87,32 @@ fn arch_names(sep: &str) -> String {
     Arch::all().map(Arch::name).join(sep)
 }
 
-fn usage() -> ExitCode {
+/// Prints why the command line was rejected, then the usage text.
+fn usage(reason: &str) -> ExitCode {
     let archs = arch_names("|");
     eprintln!(
-        "usage: sbif-verify <netlist(.bnet|.aag|.bench)> [--vc1-only] [--no-sbif] [--certify]\n\
+        "{reason}\n\
+         usage: sbif-verify <netlist(.bnet|.aag|.bench)> [--vc1-only] [--no-sbif] [--certify]\n\
          \x20                [--max-terms N] [--jobs N] [--cache-dir DIR]\n\
          \x20                [--trace pretty|json] [--trace-out FILE] [--metrics-out FILE]\n\
          \x20                [--analysis-out FILE] [--budget-conflicts N] [--budget-terms N]\n\
-         \x20                [--budget-nodes N] [--budget-sat N] [--timeout MS]\n\
-         \x20      sbif-verify --demo <n> [--arch {archs}]\n\
+         \x20                [--budget-nodes N] [--budget-sat N] [--timeout-ms MS]\n\
+         \x20      sbif-verify --demo <n> [--arch {archs}] [options]\n\
          \x20      sbif-verify --emit <n> <file> [--arch {archs}]"
     );
     ExitCode::from(2)
 }
 
-/// Parses an `--arch` value, explaining a name it does not know.
-fn parse_arch(name: &str) -> Option<Arch> {
-    let arch = Arch::parse(name);
-    if arch.is_none() {
-        eprintln!("unknown architecture {name:?} (want {})", arch_names(", "));
-    }
-    arch
+type Args<'a> = &'a mut dyn Iterator<Item = String>;
+
+/// Reads the `--arch` value after `flag`.
+fn arch_value(flag: &str, args: Args) -> Result<Arch, String> {
+    flag_value(flag, args, &format!("one of {}", arch_names(", ")), Arch::parse)
+}
+
+/// Reads the divider width after `--demo`/`--emit`.
+fn width_value(flag: &str, args: Args) -> Result<usize, String> {
+    flag_value(flag, args, "a width of at least 2 bits", |s| s.parse().ok().filter(|&n| n >= 2))
 }
 
 /// How the trace event stream is rendered (`--trace`).
@@ -112,213 +123,106 @@ enum TraceMode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
-    // --emit: write a generated divider and exit.
-    if args[0] == "--emit" {
-        let (Some(n), Some(path)) = (args.get(1), args.get(2)) else {
-            return usage();
-        };
-        let Ok(n) = n.parse::<usize>() else { return usage() };
-        if n < 2 {
-            eprintln!("divisor width must be at least 2 bits");
-            return ExitCode::from(2);
-        }
-        let arch = match (args.get(3).map(String::as_str), args.get(4)) {
-            (Some("--arch"), Some(a)) => parse_arch(a),
-            (None, _) => Some(Arch::NonRestoring),
-            _ => return usage(),
-        };
-        let Some(arch) = arch else { return ExitCode::from(2) };
-        let div = arch.build(n);
-        if let Err(e) = std::fs::write(path, write_bnet(&div.netlist)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote the {n}-bit {arch} divider to {path}");
-        return ExitCode::SUCCESS;
-    }
+    let mut args = std::env::args().skip(1).peekable();
+    let run = if args.next_if_eq("--emit").is_some() { emit } else { verify };
+    run(&mut args).unwrap_or_else(|reason| usage(&reason))
+}
 
-    // Load or generate the divider. The SBIF window checks fan out over
-    // all cores unless --jobs overrides it (results are identical either
-    // way; see the sbif::parallel docs).
+/// `--emit <n> <file> [--arch A]`: writes a generated divider as BNET.
+/// `Err` is a usage error.
+fn emit(args: Args) -> Result<ExitCode, String> {
+    let n = width_value("--emit", args)?;
+    let path = args.next().ok_or("--emit wants a width and a file")?;
+    let extra = |x: String| Err(format!("--emit takes only --arch after the file, got {x:?}"));
+    let arch = match args.next() {
+        None => Arch::NonRestoring,
+        Some(flag) if flag == "--arch" => arch_value(&flag, args)?,
+        Some(x) => return extra(x),
+    };
+    if let Some(x) = args.next() {
+        return extra(x);
+    }
+    let div = arch.build(n);
+    if let Err(e) = std::fs::write(&path, write_bnet(&div.netlist)) {
+        eprintln!("cannot write {path}: {e}");
+        return Ok(ExitCode::from(2));
+    }
+    println!("wrote the {n}-bit {arch} divider to {path}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Verifies the one divider the command line names. `Err` is a usage
+/// error; any other failure is reported here and exits 2.
+fn verify(args: Args) -> Result<ExitCode, String> {
     let mut config = VerifierConfig::default();
+    // The SBIF window checks fan out over all cores unless --jobs
+    // overrides it (results are identical either way; see the
+    // sbif::parallel docs).
     config.sbif.jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut divider: Option<Divider> = None;
-    let mut demo: Option<usize> = None;
-    let mut arch = Arch::NonRestoring;
-    let mut trace_mode: Option<TraceMode> = None;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut analysis_out: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--demo" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                if n < 2 {
-                    eprintln!("divisor width must be at least 2 bits");
-                    return ExitCode::from(2);
-                }
-                demo = Some(n);
-                i += 2;
-            }
-            "--arch" => {
-                let Some(a) = args.get(i + 1) else { return usage() };
-                let Some(a) = parse_arch(a) else { return ExitCode::from(2) };
-                arch = a;
-                i += 2;
-            }
-            "--budget-conflicts" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                config.govern.sbif_conflicts = Some(v);
-                i += 2;
-            }
-            "--budget-terms" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                config.govern.rewrite_terms = Some(v);
-                i += 2;
-            }
-            "--budget-nodes" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                config.govern.vc2_live_nodes = Some(v);
-                i += 2;
-            }
-            "--budget-sat" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                config.govern.vc2_sat_conflicts = Some(v);
-                i += 2;
-            }
-            "--timeout" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                config.govern.timeout_ms = Some(v);
-                i += 2;
-            }
-            "--vc1-only" => {
-                config.check_vc2 = false;
-                i += 1;
-            }
-            "--no-sbif" => {
-                config.use_sbif = false;
-                i += 1;
-            }
-            "--certify" => {
-                config.sbif.certify = true;
-                i += 1;
-            }
-            "--jobs" => {
-                let Some(jobs) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                else {
-                    return usage();
-                };
-                config.sbif.jobs = jobs.max(1);
-                i += 2;
-            }
+    let (mut file, mut demo, mut arch, mut trace_mode) = (None, None, None, None);
+    let (mut trace_out, mut metrics_out, mut analysis_out, mut cache_dir) =
+        (None, None, None, None);
+    while let Some(flag) = args.next() {
+        let path = |args: Args| flag_value(&flag, args, "a path", |s| Some(s.to_string()));
+        match flag.as_str() {
+            "--demo" => demo = Some(width_value(&flag, args)?),
+            "--arch" => arch = Some(arch_value(&flag, args)?),
+            "--no-sbif" => config.use_sbif = false,
             "--trace" => {
-                let Some(mode) = args.get(i + 1) else { return usage() };
-                trace_mode = match mode.as_str() {
+                trace_mode = Some(flag_value(&flag, args, "pretty or json", |s| match s {
                     "pretty" => Some(TraceMode::Pretty),
                     "json" => Some(TraceMode::Json),
-                    other => {
-                        eprintln!("--trace wants 'pretty' or 'json', got {other:?}");
-                        return ExitCode::from(2);
-                    }
-                };
-                i += 2;
+                    _ => None,
+                })?)
             }
-            "--trace-out" => {
-                let Some(path) = args.get(i + 1) else { return usage() };
-                trace_out = Some(path.clone());
-                i += 2;
-            }
-            "--metrics-out" => {
-                let Some(path) = args.get(i + 1) else { return usage() };
-                metrics_out = Some(path.clone());
-                i += 2;
-            }
-            "--analysis-out" => {
-                let Some(path) = args.get(i + 1) else { return usage() };
-                analysis_out = Some(path.clone());
-                i += 2;
-            }
-            "--cache-dir" => {
-                let Some(path) = args.get(i + 1) else { return usage() };
-                cache_dir = Some(path.clone());
-                i += 2;
-            }
-            "--max-terms" => {
-                let Some(limit) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                else {
-                    return usage();
-                };
-                config.rewrite.max_terms = Some(limit);
-                i += 2;
-            }
-            path if !path.starts_with('-') => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                let format = Format::from_path(path);
-                // Static analysis before anything interprets a BNET
-                // file: a cyclic or undriven netlist must not reach
-                // polynomial extraction or SAT encoding. The AIGER and
-                // BENCH parsers enforce those invariants themselves.
-                if matches!(format, Format::Bnet) {
-                    let lint = lint_bnet(&text);
-                    for issue in &lint.issues {
-                        eprintln!("{path}: {issue}");
-                    }
-                    if lint.num_errors() > 0 {
-                        eprintln!(
-                            "{path}: {} lint error(s) — refusing to verify",
-                            lint.num_errors()
-                        );
-                        return ExitCode::from(2);
-                    }
+            "--trace-out" => trace_out = Some(path(args)?),
+            "--metrics-out" => metrics_out = Some(path(args)?),
+            "--analysis-out" => analysis_out = Some(path(args)?),
+            "--cache-dir" => cache_dir = Some(path(args)?),
+            name if !name.starts_with('-') => {
+                if let Some(first) = file.replace(flag.clone()) {
+                    return Err(format!("a second netlist {flag:?} after {first:?}"));
                 }
-                let nl = match read_netlist(&text, format) {
-                    Ok(nl) => nl,
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                // Restrict file inputs to the cone of influence of
-                // their declared outputs: synthesis leftovers outside
-                // the divider cone must not slow verification down or
-                // perturb the cache key.
-                match Divider::from_netlist(nl.restricted_to_outputs()) {
-                    Ok(d) => divider = Some(d),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 1;
             }
-            _ => return usage(),
+            _ => {
+                // A job option: `--` plus its key with `-` for `_`.
+                let key = flag.strip_prefix("--").filter(|k| !k.contains('_'));
+                let key = key.map(|k| k.replace('-', "_")).unwrap_or_default();
+                let value = match job_option(&key) {
+                    Some(JobOption::Switch(_)) => Value::Bool(true),
+                    Some(JobOption::Count(_)) => {
+                        let int = |s: &str| s.parse().ok().map(Value::Int);
+                        flag_value(&flag, args, "a non-negative integer", int)?
+                    }
+                    None => return Err(format!("unknown flag {flag:?}")),
+                };
+                set_job_option(&mut config, &key, &value)?;
+            }
         }
     }
-    let Some(divider) = divider.or_else(|| demo.map(|n| arch.build(n))) else { return usage() };
+    let divider = match (file, demo) {
+        (Some(file), Some(_)) => {
+            return Err(format!("--demo and the netlist {file:?} name two dividers"))
+        }
+        (Some(_), None) if arch.is_some() => {
+            return Err("--arch applies to --demo and --emit only".into())
+        }
+        (Some(path), None) => {
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read: {e}"));
+            match text.and_then(|text| load_divider(&text, Format::from_path(&path))) {
+                Ok((divider, warnings)) => {
+                    warnings.iter().for_each(|w| eprintln!("{path}: {w}"));
+                    divider
+                }
+                Err(e) => {
+                    eprintln!("{path}: {e}");
+                    return Ok(ExitCode::from(2));
+                }
+            }
+        }
+        (None, Some(n)) => arch.unwrap_or(Arch::NonRestoring).build(n),
+        (None, None) => return Err("no netlist and no --demo".into()),
+    };
     // A file target without an explicit mode means the machine stream.
     if trace_out.is_some() && trace_mode.is_none() {
         trace_mode = Some(TraceMode::Json);
@@ -333,7 +237,7 @@ fn main() -> ExitCode {
             Ok(c) => Some(c),
             Err(e) => {
                 eprintln!("cannot open cache dir {dir}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
         None => None,
@@ -348,7 +252,7 @@ fn main() -> ExitCode {
                 Ok(f) => Box::new(std::io::BufWriter::new(f)),
                 Err(e) => {
                     eprintln!("cannot create {path}: {e}");
-                    return ExitCode::from(2);
+                    return Ok(ExitCode::from(2));
                 }
             },
             None => Box::new(std::io::stderr()),
@@ -368,13 +272,13 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("aborted: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     if let Some(path) = &metrics_out {
         if let Err(e) = std::fs::write(path, &out.metrics_json) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         println!("metrics report written to {path}");
     }
@@ -386,12 +290,12 @@ fn main() -> ExitCode {
             Ok(db) => db,
             Err(e) => {
                 eprintln!("cannot analyze: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         if let Err(e) = std::fs::write(path, db.to_json(&divider.netlist)) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         println!("analysis database written to {path}");
     }
@@ -444,11 +348,11 @@ fn main() -> ExitCode {
             );
         }
         if report.cancelled {
-            eprintln!("watchdog: run cancelled by --timeout; result not cached");
+            eprintln!("watchdog: run cancelled by --timeout-ms; result not cached");
         }
     }
     let cached = if out.cached { " (cached)" } else { "" };
-    match out.verdict.as_str() {
+    Ok(match out.verdict.as_str() {
         "correct" => {
             println!("VERDICT: correct{cached}");
             ExitCode::SUCCESS
@@ -464,5 +368,5 @@ fn main() -> ExitCode {
             println!("VERDICT: NOT correct{cached}");
             ExitCode::FAILURE
         }
-    }
+    })
 }

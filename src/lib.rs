@@ -56,6 +56,23 @@ pub use sbif_poly as poly;
 pub use sbif_sat as sat;
 pub use sbif_trace as trace;
 
+/// Reads the value of the command-line flag `flag`: the next argument
+/// of `args`, converted by `parse`.
+///
+/// # Errors
+///
+/// `"<flag> wants <want>"` when the value is missing, with `", got
+/// <value>"` appended when `parse` rejects it.
+pub fn flag_value<T>(
+    flag: &str,
+    args: &mut dyn Iterator<Item = String>,
+    want: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let value = args.next().ok_or_else(|| format!("{flag} wants {want}"))?;
+    parse(&value).ok_or_else(|| format!("{flag} wants {want}, got {value:?}"))
+}
+
 /// One-stop imports for the common verification flow.
 pub mod prelude {
     pub use sbif_apint::Int;

@@ -22,12 +22,19 @@
 //! {"op": "shutdown"}
 //! ```
 //!
-//! `demo` generates an n-bit non-restoring divider; `format`/`source`
-//! carry a netlist as text (`bnet`, `aag` or `bench`), which is parsed,
-//! cone-of-influence restricted to its declared outputs
-//! ([`Netlist::restricted_to_outputs`]) and bound to the Definition-1
-//! divider interface. `jobs` sets the SBIF worker count for this job
-//! (verdicts and logical metrics are identical for any value).
+//! A `verify` request names one divider: `demo` (an n-bit non-restoring
+//! divider, 2 ≤ n ≤ 64) or `source`, a netlist as text in `format`
+//! (`bnet`, the default, `aag` or `bench`), which is parsed, restricted
+//! to the cone of influence of its declared outputs and bound to the
+//! Definition-1 divider interface. `id` tags the job's response lines,
+//! `trace` streams its trace and `crash` is a test hook (honoured only
+//! under `SBIF_SERVE_TEST_CRASH`). Every other key is one of the
+//! [`JOB_OPTIONS`], which `sbif-verify` reads as flags: `jobs` (the
+//! SBIF worker count; verdicts and logical metrics are the same at any
+//! value), `certify`, `vc1_only`, `max_terms` and the governor's
+//! `budget_conflicts`, `budget_terms`, `budget_nodes`, `budget_sat` and
+//! `timeout_ms` (DESIGN.md §16). Any other key, or a value of the wrong
+//! type, fails the job with an `error` line that names the key.
 //!
 //! Responses — every job-scoped line carries the request's `id`:
 //!
@@ -48,16 +55,17 @@
 //!
 //! The same module hosts the cached-verification flow shared with the
 //! `sbif-verify` CLI: [`flow_fingerprint`], [`design_key`],
-//! [`verify_cached`] and [`load_divider`].
+//! [`verify_cached`], [`load_divider`] and the job-option table.
 
 use sbif_analysis::design_digest;
 use sbif_cache::{Entry, ResultCache};
-use sbif_check::lint_bnet;
+use sbif_check::{lint_bnet, LintIssue, LintLevel, LintReport};
 use sbif_core::verify::{DividerVerifier, VerifierConfig};
 use sbif_netlist::build::{nonrestoring_divider, Divider};
 use sbif_netlist::io::{read_netlist, Format};
 use sbif_trace::json::{escape, parse, Value};
 use sbif_trace::{NdjsonSink, Recorder};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -85,7 +93,7 @@ pub fn flow_fingerprint(config: &VerifierConfig) -> String {
     c.govern = sbif_govern::GovernConfig::default();
     // Bump the version whenever the config's `Debug` rendering changes,
     // so entries written under the old rendering miss.
-    format!("sbif-verify-flow-v3 {c:?}")
+    format!("sbif-verify-flow-v4 {c:?}")
 }
 
 /// The content-addressed cache key of one (design, flow config) pair:
@@ -212,30 +220,87 @@ pub fn verify_cached(
 /// carries the full static analyzer; the AIGER/BENCH parsers already
 /// reject cycles and undriven logic structurally), restricts it to the
 /// cone of influence of its declared outputs and binds it to the
-/// Definition-1 divider interface.
+/// Definition-1 divider interface. Returns the divider and the BNET
+/// lint warnings.
 ///
 /// # Errors
 ///
 /// Lint errors, parse errors (with line/column) and interface-binding
 /// failures, as a message.
-pub fn load_divider(text: &str, format: Format) -> Result<Divider, String> {
-    if matches!(format, Format::Bnet) {
-        let lint = lint_bnet(text);
-        if lint.num_errors() > 0 {
-            let first = lint
-                .issues
-                .iter()
-                .map(|i| i.to_string())
-                .next()
-                .unwrap_or_default();
-            return Err(format!(
-                "{} lint error(s) — refusing to verify ({first})",
-                lint.num_errors()
-            ));
-        }
+pub fn load_divider(text: &str, format: Format) -> Result<(Divider, Vec<LintIssue>), String> {
+    let lint = match format {
+        Format::Bnet => lint_bnet(text),
+        _ => LintReport::default(),
+    };
+    if let Some(first) = lint.issues.iter().find(|i| i.rule.level() == LintLevel::Error) {
+        return Err(format!("{} lint error(s) — refusing to verify ({first})", lint.num_errors()));
     }
     let nl = read_netlist(text, format).map_err(|e| e.to_string())?;
-    Divider::from_netlist(nl.restricted_to_outputs())
+    Ok((Divider::from_netlist(nl.restricted_to_outputs())?, lint.issues))
+}
+
+/// How a job option's value reaches a [`VerifierConfig`].
+#[derive(Debug, Clone, Copy)]
+pub enum JobOption {
+    /// `true` or `false`; on the command line the bare flag means `true`.
+    Switch(fn(&mut VerifierConfig, bool)),
+    /// A non-negative integer.
+    Count(fn(&mut VerifierConfig, u64)),
+}
+
+/// The job options: the flow settings of one verification job, read
+/// the same way by every front end. A `verify` request carries them as
+/// keys beside the protocol's own; `sbif-verify` spells each as `--`
+/// plus the key with `-` for `_`. [`set_job_option`] applies one.
+pub const JOB_OPTIONS: [(&str, JobOption); 9] = [
+    // SBIF worker count; verdicts and metrics are the same at any value.
+    ("jobs", JobOption::Count(|c, n| c.sbif.jobs = (n as usize).max(1))),
+    ("certify", JobOption::Switch(|c, on| c.sbif.certify = on)),
+    ("vc1_only", JobOption::Switch(|c, on| c.check_vc2 = !on)),
+    ("max_terms", JobOption::Count(|c, n| c.rewrite.max_terms = Some(n as usize))),
+    // The governor's budgets (DESIGN.md §16).
+    ("budget_conflicts", JobOption::Count(|c, n| c.govern.sbif_conflicts = Some(n))),
+    ("budget_terms", JobOption::Count(|c, n| c.govern.rewrite_terms = Some(n as usize))),
+    ("budget_nodes", JobOption::Count(|c, n| c.govern.vc2_live_nodes = Some(n as usize))),
+    ("budget_sat", JobOption::Count(|c, n| c.govern.vc2_sat_conflicts = Some(n))),
+    ("timeout_ms", JobOption::Count(|c, n| c.govern.timeout_ms = Some(n))),
+];
+
+/// The job option named `key`, if there is one.
+pub fn job_option(key: &str) -> Option<JobOption> {
+    JOB_OPTIONS.iter().find(|(k, _)| *k == key).map(|&(_, opt)| opt)
+}
+
+/// Sets the job option `key` on `config` from `value`.
+///
+/// # Errors
+///
+/// `key` names no job option, or `value` is not of the option's type.
+/// The message names the key.
+pub fn set_job_option(config: &mut VerifierConfig, key: &str, value: &Value) -> Result<(), String> {
+    match job_option(key) {
+        Some(JobOption::Switch(set)) => set(config, switch(key, value)?),
+        Some(JobOption::Count(set)) => set(config, count(key, value)?),
+        None => return Err(format!("unknown key {key:?}")),
+    }
+    Ok(())
+}
+
+/// `value` as a boolean, or an error naming `key`.
+fn switch(key: &str, value: &Value) -> Result<bool, String> {
+    match value {
+        Value::Bool(on) => Ok(*on),
+        _ => Err(wrong_type(key, "true or false", value)),
+    }
+}
+
+/// `value` as a non-negative integer, or an error naming `key`.
+fn count(key: &str, value: &Value) -> Result<u64, String> {
+    value.as_u64().ok_or_else(|| wrong_type(key, "a non-negative integer", value))
+}
+
+fn wrong_type(key: &str, want: &str, value: &Value) -> String {
+    format!("{key:?} wants {want}, got {}", value.to_canonical())
 }
 
 // ---------------------------------------------------------------------
@@ -487,9 +552,8 @@ fn recover_journal(ctx: &Arc<Ctx>) {
             if let Ok(Some(obj)) = parse(line.trim()).map(|v| v.as_object().cloned()) {
                 ctx.stats.bump(&ctx.stats.jobs_recovered);
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let div = divider_of_request(&obj)?;
-                    let config = config_of_request(&obj, ctx);
-                    verify_cached(&div, config, Some(&ctx.cache), Recorder::new())
+                    let job = Job::of_request(&obj, ctx.default_jobs)?;
+                    verify_cached(&job.divider, job.config, Some(&ctx.cache), Recorder::new())
                 }));
                 match run {
                     Ok(Ok(out)) => {
@@ -642,41 +706,64 @@ fn error_line(job: Option<u64>, message: &str) -> String {
     }
 }
 
-/// Builds the per-job [`VerifierConfig`] from the request's optional
-/// `jobs`/`vc1_only`/`certify`/`max_terms` fields plus the per-job
-/// governor budgets `budget_conflicts` (SBIF SAT conflicts),
-/// `budget_terms` (rewrite terms), `budget_nodes` (vc2 BDD live
-/// nodes), `budget_sat` (vc2 SAT-fallback conflicts) and `timeout_ms`
-/// (wall-clock watchdog).
-fn config_of_request(
-    obj: &std::collections::BTreeMap<String, Value>,
-    ctx: &Ctx,
-) -> VerifierConfig {
-    let mut config = VerifierConfig::default();
-    config.sbif.jobs = obj
-        .get("jobs")
-        .and_then(Value::as_u64)
-        .map_or(ctx.default_jobs, |j| (j as usize).max(1));
-    if matches!(obj.get("vc1_only"), Some(Value::Bool(true))) {
-        config.check_vc2 = false;
+/// A checked `verify` request.
+struct Job {
+    divider: Divider,
+    config: VerifierConfig,
+    /// Stream the job's trace as `trace` lines.
+    trace: bool,
+    /// Panic inside the job (honoured only under `SBIF_SERVE_TEST_CRASH`).
+    crash: bool,
+}
+
+impl Job {
+    /// Reads a `verify` request: the protocol keys here, every other
+    /// key through [`set_job_option`] on a config whose worker count
+    /// defaults to `default_jobs`.
+    fn of_request(obj: &BTreeMap<String, Value>, default_jobs: usize) -> Result<Job, String> {
+        let mut config = VerifierConfig::default();
+        config.sbif.jobs = default_jobs;
+        let (mut demo, mut source, mut format) = (None, None, Format::Bnet);
+        let (mut trace, mut crash) = (false, false);
+        for (key, value) in obj {
+            match key.as_str() {
+                // `op` chose this handler; `id` tags the response lines.
+                "op" => {}
+                "id" => {
+                    count(key, value)?;
+                }
+                "trace" => trace = switch(key, value)?,
+                "crash" => crash = switch(key, value)?,
+                "demo" => demo = Some(count(key, value)?),
+                "source" => {
+                    let text = value.as_str();
+                    source = Some(text.ok_or_else(|| wrong_type(key, "a string", value))?);
+                }
+                "format" => {
+                    format = match value.as_str() {
+                        Some("bnet") => Format::Bnet,
+                        Some("aag") | Some("aiger") => Format::Aag,
+                        Some("bench") | Some("isc") => Format::Bench,
+                        _ => return Err(wrong_type(key, "\"bnet\", \"aag\" or \"bench\"", value)),
+                    }
+                }
+                _ => set_job_option(&mut config, key, value)?,
+            }
+        }
+        let divider = match (demo, source) {
+            (Some(n @ 2..=64), _) => nonrestoring_divider(n as usize),
+            (Some(n), _) => return Err(format!("demo width must be in 2..=64, got {n}")),
+            (None, Some(text)) => load_divider(text, format)?.0,
+            (None, None) => {
+                return Err("verify needs either \"demo\": N or \"format\" + \"source\"".into())
+            }
+        };
+        Ok(Job { divider, config, trace, crash })
     }
-    if matches!(obj.get("certify"), Some(Value::Bool(true))) {
-        config.sbif.certify = true;
-    }
-    if let Some(mt) = obj.get("max_terms").and_then(Value::as_u64) {
-        config.rewrite.max_terms = Some(mt as usize);
-    }
-    let g = &mut config.govern;
-    g.sbif_conflicts = obj.get("budget_conflicts").and_then(Value::as_u64);
-    g.rewrite_terms = obj.get("budget_terms").and_then(Value::as_u64).map(|t| t as usize);
-    g.vc2_live_nodes = obj.get("budget_nodes").and_then(Value::as_u64).map(|n| n as usize);
-    g.vc2_sat_conflicts = obj.get("budget_sat").and_then(Value::as_u64);
-    g.timeout_ms = obj.get("timeout_ms").and_then(Value::as_u64);
-    config
 }
 
 fn handle_verify(
-    obj: &std::collections::BTreeMap<String, Value>,
+    obj: &BTreeMap<String, Value>,
     raw: &str,
     writer: &SharedWriter,
     ctx: &Arc<Ctx>,
@@ -699,17 +786,16 @@ fn handle_verify(
     // line leaves a re-runnable record (dropped again on completion).
     let _journal = JournalEntry::write(ctx, raw);
 
-    let div = match divider_of_request(obj) {
-        Ok(d) => d,
+    let job = match Job::of_request(obj, ctx.default_jobs) {
+        Ok(job) => job,
         Err(msg) => {
             ctx.stats.bump(&ctx.stats.jobs_failed);
             return send(writer, &error_line(Some(id), &msg));
         }
     };
-    let config = config_of_request(obj, ctx);
 
     let recorder = Recorder::new();
-    if matches!(obj.get("trace"), Some(Value::Bool(true))) {
+    if job.trace {
         recorder.attach(Box::new(NdjsonSink::new(JobTraceWriter {
             job: id,
             out: writer.clone(),
@@ -721,12 +807,10 @@ fn handle_verify(
     // daemon (or the other connections). The poisoned-mutex recovery in
     // `send` keeps the writer usable afterwards.
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if matches!(obj.get("crash"), Some(Value::Bool(true)))
-            && std::env::var_os("SBIF_SERVE_TEST_CRASH").is_some()
-        {
+        if job.crash && std::env::var_os("SBIF_SERVE_TEST_CRASH").is_some() {
             panic!("injected test crash");
         }
-        verify_cached(&div, config, Some(&ctx.cache), recorder)
+        verify_cached(&job.divider, job.config, Some(&ctx.cache), recorder)
     }));
 
     match run {
@@ -743,7 +827,7 @@ fn handle_verify(
                      \"cached\": {}, \"n\": {}{exhausted}, \"metrics\": \"{}\"}}",
                     out.verdict,
                     out.cached,
-                    div.n,
+                    job.divider.n,
                     escape(&out.metrics_json)
                 ),
             )
@@ -768,27 +852,6 @@ fn handle_verify(
             )
         }
     }
-}
-
-fn divider_of_request(
-    obj: &std::collections::BTreeMap<String, Value>,
-) -> Result<Divider, String> {
-    if let Some(n) = obj.get("demo").and_then(Value::as_u64) {
-        if !(2..=64).contains(&n) {
-            return Err(format!("demo width must be in 2..=64, got {n}"));
-        }
-        return Ok(nonrestoring_divider(n as usize));
-    }
-    let Some(source) = obj.get("source").and_then(Value::as_str) else {
-        return Err("verify needs either \"demo\": N or \"format\" + \"source\"".into());
-    };
-    let format = match obj.get("format").and_then(Value::as_str) {
-        Some("bnet") | None => Format::Bnet,
-        Some("aag") | Some("aiger") => Format::Aag,
-        Some("bench") | Some("isc") => Format::Bench,
-        Some(other) => return Err(format!("unknown format {other:?}")),
-    };
-    load_divider(source, format)
 }
 
 #[cfg(test)]
@@ -915,12 +978,14 @@ mod tests {
         use sbif_netlist::io::{write_bnet, Format};
         let div = nonrestoring_divider(3);
         let bnet = write_bnet(&div.netlist);
-        let loaded = load_divider(&bnet, Format::Bnet).unwrap();
+        let (loaded, warnings) = load_divider(&bnet, Format::Bnet).unwrap();
         assert_eq!(loaded.n, 3);
+        // Generated dividers carry dead gates: warnings, not errors.
+        assert!(warnings.iter().all(|w| w.rule.level() == LintLevel::Warning));
         let aag = sbif_netlist::aiger::write_aag(&div.netlist);
-        assert_eq!(load_divider(&aag, Format::Aag).unwrap().n, 3);
+        assert_eq!(load_divider(&aag, Format::Aag).unwrap().0.n, 3);
         let bench = sbif_netlist::bench::write_bench(&div.netlist);
-        assert_eq!(load_divider(&bench, Format::Bench).unwrap().n, 3);
+        assert_eq!(load_divider(&bench, Format::Bench).unwrap().0.n, 3);
         // Broken input surfaces as a message, not a panic.
         assert!(load_divider("aag x", Format::Aag).unwrap_err().contains("line 1"));
     }

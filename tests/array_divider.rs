@@ -65,6 +65,6 @@ fn blow_up_returns_at_medium_widths() {
 #[test]
 fn vc2_handles_the_array_divider() {
     let div = array_divider(6);
-    let report = sbif::core::vc2::check_vc2(&div, Default::default());
+    let report = sbif::core::vc2::check_vc2(&div);
     assert!(report.holds);
 }

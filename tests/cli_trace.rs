@@ -32,12 +32,35 @@ fn bad_arguments_exit_2_with_diagnostics() {
         (&["--demo", "1"], "at least 2 bits"),
         (&["/nonexistent/divider.bnet"], "cannot read"),
         (&["--metrics-out"], "usage:"),
+        // One run verifies one divider: a second one is named, not dropped.
+        (&["a.bnet", "b.bnet"], "a second netlist \"b.bnet\""),
+        (&["--demo", "8", "a.bnet"], "--demo and the netlist \"a.bnet\""),
+        (&["--demo", "3", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["--demo", "3", "--budget-terms", "x"], "--budget-terms wants"),
     ];
     for (args, needle) in cases {
         let out = sbif_verify(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(needle), "{args:?}: missing {needle:?} in {stderr}");
+    }
+}
+
+#[test]
+fn fuzz_and_serve_name_a_bad_flag_value() {
+    let socket = tmp("never-bound.sock");
+    let socket = socket.to_str().unwrap();
+    let cases: [(&str, &[&str], &str); 2] = [
+        (env!("CARGO_BIN_EXE_sbif-fuzz"), &["--arch", "bogus"], "--arch wants"),
+        (env!("CARGO_BIN_EXE_sbif-serve"), &[socket, "--jobs", "x"], "--jobs wants"),
+    ];
+    for (bin, args, needle) in cases {
+        let out = Command::new(bin).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let bad = format!("{:?}", args[args.len() - 1]);
+        assert!(stderr.contains(needle) && stderr.contains(&bad), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
 }
 

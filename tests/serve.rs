@@ -383,6 +383,24 @@ fn malformed_requests_answer_errors_without_killing_the_connection() {
     reader.read_line(&mut err_line).expect("reads");
     assert!(err_line.contains("\"ev\": \"error\""), "{err_line}");
     assert!(err_line.contains("line 1"), "{err_line}");
+    // A key the protocol does not know, or a value of the wrong type,
+    // fails the job with an error naming the key instead of running it
+    // under some other configuration.
+    for (id, bad, key) in [
+        (10, "\"arch\": \"srt\"", "arch"),
+        (11, "\"certify\": \"yes\"", "certify"),
+        (12, "\"budget_term\": 10", "budget_term"),
+        (13, "\"jobs\": -3", "jobs"),
+    ] {
+        let req = format!("{{\"op\": \"verify\", \"id\": {id}, \"demo\": 6, {bad}}}");
+        let accepted = ask(&mut writer, &mut reader, &req);
+        assert!(accepted.contains("\"ev\": \"accepted\""), "{req}: {accepted}");
+        let mut err_line = String::new();
+        reader.read_line(&mut err_line).expect("reads");
+        let head = format!("{{\"job\": {id}, \"ev\": \"error\"");
+        assert!(err_line.starts_with(&head), "{req}: {err_line}");
+        assert!(err_line.contains(&format!("\\\"{key}\\\"")), "{req}: {err_line}");
+    }
     // A line nested far past the parser's depth cap is an error answer,
     // not a stack overflow that takes the daemon down.
     let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));

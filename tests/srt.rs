@@ -61,6 +61,6 @@ fn srt_vc2_still_works() {
     // The BDD-based remainder check does not care about the quotient
     // logic and handles SRT dividers fine.
     let div = srt_divider(5);
-    let report = sbif::core::vc2::check_vc2(&div, Default::default());
+    let report = sbif::core::vc2::check_vc2(&div);
     assert!(report.holds);
 }

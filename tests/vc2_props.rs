@@ -14,7 +14,7 @@ mod common;
 
 use common::prop_check;
 use sbif::cec::{vc2_sat, CecResult};
-use sbif::core::vc2::{check_vc2, Vc2Config};
+use sbif::core::vc2::check_vc2;
 use sbif::fuzz::{apply, pick, Arch, FaultModel};
 use sbif::netlist::build::{nonrestoring_divider, Divider};
 use sbif::netlist::Sig;
@@ -50,7 +50,7 @@ fn violates_vc2(div: &Divider, cex: &[(String, bool)]) -> bool {
 /// on the range miter; the verdicts must agree and both
 /// counterexamples must replay. Returns whether vc2 is violated.
 fn vc2_engines_agree(div: &Divider, label: &str) -> bool {
-    let bdd = check_vc2(div, Vc2Config::default());
+    let bdd = check_vc2(div);
     assert_eq!(
         bdd.holds,
         bdd.counterexample.is_none(),
@@ -118,7 +118,7 @@ fn bdd_and_sat_agree_on_vc2_for_seeded_mutants() {
 fn vc2_peak_nodes_dominate_final_nodes() {
     for n in [3usize, 4, 5, 6] {
         let div = nonrestoring_divider(n);
-        let report = check_vc2(&div, Vc2Config::default());
+        let report = check_vc2(&div);
         assert!(report.holds, "n={n}");
         assert!(
             report.peak_nodes >= report.final_nodes,
@@ -145,7 +145,7 @@ fn vc2_peak_nodes_grow_with_the_divider() {
     // widths apart, where it holds with a wide margin.
     let peaks: Vec<usize> = [3usize, 4, 5, 6]
         .iter()
-        .map(|&n| check_vc2(&nonrestoring_divider(n), Vc2Config::default()).peak_nodes)
+        .map(|&n| check_vc2(&nonrestoring_divider(n)).peak_nodes)
         .collect();
     for w in peaks.windows(3) {
         assert!(w[0] < w[2], "peaks not growing two widths apart: {peaks:?}");
