@@ -122,10 +122,11 @@ pub struct WpcStats {
     pub final_size: usize,
 }
 
-/// Cooperative limits for [`weakest_precondition_budgeted`]. The
-/// live-node ceiling is deterministic (the traversal is sequential, so
-/// the cut happens at the same gate on every run); the interrupt flag
-/// is the wall-clock watchdog hook and only ever cancels.
+/// Cooperative limits for [`weakest_precondition_budgeted`], the BDD
+/// counterpart of `sbif_sat::Budget`. The live-node ceiling is
+/// deterministic (the traversal is sequential, so the cut happens at
+/// the same gate on every run) and is checked first; the interrupt
+/// flag is the wall-clock watchdog hook and only ever cancels.
 #[derive(Debug, Clone, Default)]
 pub struct WpcLimits {
     /// Stop once the manager's live-node population exceeds this after
@@ -134,13 +135,6 @@ pub struct WpcLimits {
     pub max_live_nodes: Option<usize>,
     /// Cooperative cancellation, polled once per composed gate.
     pub interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-}
-
-impl WpcLimits {
-    /// `true` when neither limit is set (the unlimited fast path).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_live_nodes.is_none() && self.interrupt.is_none()
-    }
 }
 
 /// Backward traversal of Sect. V: starting from `predicate` (over output

@@ -14,12 +14,13 @@
 
 pub mod harness;
 
-use sbif_cec::{sat_cec, sweep_cec, CecResult, SweepConfig};
+use sbif_cec::{sat_cec, sweep_cec, CecResult};
 use sbif_core::rewrite::{BackwardRewriter, RewriteConfig};
 use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
 use sbif_core::spec::divider_spec;
 use sbif_core::vc2::check_vc2;
 use sbif_core::VerifyError;
+use sbif_govern::Watchdog;
 use sbif_netlist::build::{divider_miter, nonrestoring_divider, restoring_divider};
 use sbif_netlist::io::{read_bnet, write_bnet};
 use sbif_sat::Budget;
@@ -146,7 +147,8 @@ pub struct Table2Row {
 /// Configuration for a Table II run.
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Config {
-    /// Wall-clock budget per baseline (SAT and CEC each).
+    /// Wall-clock budget per baseline (SAT and CEC each), enforced by a
+    /// watchdog that raises the baseline's interrupt flag.
     pub baseline_timeout: Duration,
     /// Skip the two baselines entirely (for very large widths where they
     /// are known to time out — the paper's TO entries).
@@ -176,24 +178,17 @@ pub fn table2_row(n: usize, cfg: Table2Config) -> Table2Row {
     } else {
         let gold = restoring_divider(n);
         let miter = divider_miter(&div.netlist, &gold.netlist, n);
+        let (_sat_watchdog, token) = Watchdog::arm(cfg.baseline_timeout);
         let t = Instant::now();
-        let outcome = sat_cec(
-            &miter,
-            "miter",
-            Budget::new().with_timeout(cfg.baseline_timeout),
-        );
+        let outcome = sat_cec(&miter, "miter", Budget::new().with_interrupt(token.flag()));
         let sat = match outcome.result {
             CecResult::Equivalent => Measured::Time(t.elapsed()),
             CecResult::Unknown => Measured::Timeout,
             CecResult::NotEquivalent(_) => panic!("generated dividers must be equivalent"),
         };
+        let (_cec_watchdog, token) = Watchdog::arm(cfg.baseline_timeout);
         let t = Instant::now();
-        let outcome = sweep_cec(
-            &miter,
-            "miter",
-            None,
-            SweepConfig { timeout: cfg.baseline_timeout, ..Default::default() },
-        );
+        let outcome = sweep_cec(&miter, "miter", None, Budget::new().with_interrupt(token.flag()));
         let cec = match outcome.result {
             CecResult::Equivalent => Measured::Time(t.elapsed()),
             CecResult::Unknown => Measured::Timeout,
@@ -398,5 +393,17 @@ mod tests {
         assert_eq!(det.len(), 4);
         // Wall times stay out of det.
         assert!(!det.keys().any(|k| k.contains("_s")));
+    }
+
+    #[test]
+    fn table2_baselines_time_out_through_the_watchdog() {
+        // Neither baseline proves the n = 6 miter in 1 ms: each one's
+        // watchdog raises its interrupt flag, and the row reads TO.
+        let row = table2_row(
+            6,
+            Table2Config { baseline_timeout: Duration::from_millis(1), ..Default::default() },
+        );
+        assert_eq!(row.sat, Measured::Timeout);
+        assert_eq!(row.cec, Measured::Timeout);
     }
 }

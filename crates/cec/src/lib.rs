@@ -34,14 +34,12 @@ mod sweep;
 mod vc2_sat;
 
 pub use sat_cec::sat_cec;
-pub use sweep::{sweep_cec, SweepConfig};
+pub use sweep::sweep_cec;
 pub use vc2_sat::vc2_sat;
 
 use sbif_check::{certify_unsat, CertOutcome, CertStats, DratStep};
 use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{Budget, NetlistEncoder, SolveResult, Solver, SolverStats};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 /// Verdict of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +49,8 @@ pub enum CecResult {
     /// A counterexample was found: input assignment driving the miter
     /// to 1, as `(input name, value)` pairs.
     NotEquivalent(Vec<(String, bool)>),
-    /// The budget was exhausted — the "TO" entries of Table II.
+    /// The [`Budget`] ran out: its conflict cap was reached or its
+    /// interrupt flag raised — the "TO" entries of Table II.
     Unknown,
 }
 
@@ -68,10 +67,11 @@ pub struct CecStats {
     /// requested (see [`vc2_sat`]).
     pub cert: CertStats,
     /// CDCL counters totalled over every SAT query of the check. Note
-    /// that both baselines run under *wall-clock* budgets, so unlike the
-    /// SBIF pipeline's [`sbif_sat::SolverStats`] aggregate these are not
-    /// machine-independent — they are reported for diagnosis, not for
-    /// the deterministic metrics payload.
+    /// that a check cut short by its interrupt flag (a wall-clock
+    /// watchdog) stops at a machine-dependent point, so unlike the SBIF
+    /// pipeline's [`sbif_sat::SolverStats`] aggregate these are then
+    /// not reproducible — they are reported for diagnosis, not for the
+    /// deterministic metrics payload.
     pub solver: SolverStats,
 }
 
@@ -86,23 +86,14 @@ pub struct CecOutcome {
 
 /// Asks whether output `out` of `nl` can be 1, with one monolithic SAT
 /// query over its cone: UNSAT is [`CecResult::Equivalent`], a model is
-/// a named-input counterexample, and an exhausted `budget` or a raised
-/// `interrupt` flag is [`CecResult::Unknown`]. With `certify`, an UNSAT
-/// answer is replayed through the independent DRAT checker and recorded
-/// in [`CecStats::cert`].
-fn solve_miter(
-    nl: &Netlist,
-    out: Sig,
-    budget: Budget,
-    certify: bool,
-    interrupt: Option<Arc<AtomicBool>>,
-) -> CecOutcome {
+/// a named-input counterexample, and an exhausted `budget` is
+/// [`CecResult::Unknown`]. With `certify`, an UNSAT answer is replayed
+/// through the independent DRAT checker and recorded in
+/// [`CecStats::cert`].
+fn solve_miter(nl: &Netlist, out: Sig, budget: Budget, certify: bool) -> CecOutcome {
     let mut solver = Solver::new();
     if certify {
         solver.enable_proof_log();
-    }
-    if let Some(flag) = interrupt {
-        solver.set_interrupt(flag);
     }
     let mut enc = NetlistEncoder::new(nl);
     enc.encode_cone(&mut solver, nl, out);

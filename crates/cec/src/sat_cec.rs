@@ -14,7 +14,7 @@ pub fn sat_cec(nl: &Netlist, output: &str, budget: Budget) -> CecOutcome {
     let out = nl
         .output(output)
         .unwrap_or_else(|| panic!("netlist has no output named {output:?}"));
-    solve_miter(nl, out, budget, false, None)
+    solve_miter(nl, out, budget, false)
 }
 
 #[cfg(test)]
@@ -22,7 +22,8 @@ mod tests {
     use super::*;
     use crate::{replay_counterexample, CecResult};
     use sbif_netlist::build::{divider_miter, miter, nonrestoring_divider, restoring_divider};
-    use std::time::Duration;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     #[test]
     fn equivalent_dividers_proven() {
@@ -75,13 +76,10 @@ mod tests {
         let m = divider_miter(&a.netlist, &b.netlist, n);
         let outcome = sat_cec(&m, "miter", Budget::new().with_conflicts(1));
         assert_eq!(outcome.result, CecResult::Unknown);
-        // A (very) generous time budget may also be expressed.
-        let outcome = sat_cec(
-            &m,
-            "miter",
-            Budget::new().with_timeout(Duration::from_millis(1)).with_conflicts(500),
-        );
-        assert_ne!(outcome.result, CecResult::NotEquivalent(vec![]));
+        // A raised interrupt flag (a fired watchdog) stops it too.
+        let raised = Arc::new(AtomicBool::new(true));
+        let outcome = sat_cec(&m, "miter", Budget::new().with_interrupt(raised));
+        assert_eq!(outcome.result, CecResult::Unknown);
     }
 
     #[test]

@@ -6,32 +6,13 @@ use sbif_netlist::{Netlist, Sig};
 use sbif_rng::XorShift64;
 use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
-/// Configuration of the sweeping engine.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepConfig {
-    /// Overall wall-clock budget (the 72-CPU-hour timeout of the paper,
-    /// scaled down).
-    pub timeout: Duration,
-    /// Conflict budget for each internal node-pair proof.
-    pub node_conflicts: u64,
-    /// Initial simulation words (64 patterns each) per input.
-    pub sim_words: usize,
-    /// RNG seed for the initial patterns.
-    pub seed: u64,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            timeout: Duration::from_secs(60),
-            node_conflicts: 300,
-            sim_words: 2,
-            seed: 0xABC,
-        }
-    }
-}
+/// Conflict budget for each internal node-pair proof.
+const NODE_CONFLICTS: u64 = 300;
+/// Initial simulation words (64 patterns each) per input.
+const SIM_WORDS: usize = 2;
+/// RNG seed for the initial patterns.
+const SEED: u64 = 0xABC;
 
 /// Union-find over signals with equal/antivalent polarity.
 struct Classes {
@@ -85,18 +66,14 @@ impl Classes {
 /// merges them (counterexamples refine the simulation), and the output is
 /// attacked last. `assume`, when given, is a signal asserted 1 in every
 /// query (the divider input constraint, which makes cross-circuit
-/// internal nodes mergeable).
+/// internal nodes mergeable). `budget` limits the final output query;
+/// its interrupt flag (the 72-CPU-hour timeout of the paper, scaled
+/// down, as a watchdog) also ends the sweep between signals.
 ///
 /// # Panics
 ///
 /// Panics if `nl` has no output named `output`.
-pub fn sweep_cec(
-    nl: &Netlist,
-    output: &str,
-    assume: Option<Sig>,
-    cfg: SweepConfig,
-) -> CecOutcome {
-    let start = Instant::now();
+pub fn sweep_cec(nl: &Netlist, output: &str, assume: Option<Sig>, budget: Budget) -> CecOutcome {
     let out = nl
         .output(output)
         .unwrap_or_else(|| panic!("netlist has no output named {output:?}"));
@@ -112,7 +89,7 @@ pub fn sweep_cec(
     };
 
     // Initial random simulation.
-    let mut rng = XorShift64::seed_from_u64(cfg.seed);
+    let mut rng = XorShift64::seed_from_u64(SEED);
     let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); nl.num_signals()];
     let simulate_word = |signatures: &mut Vec<Vec<u64>>, words: &[u64]| {
         let vals = nl.simulate64(words);
@@ -120,7 +97,7 @@ pub fn sweep_cec(
             signatures[i].push(v);
         }
     };
-    for _ in 0..cfg.sim_words {
+    for _ in 0..SIM_WORDS {
         let words: Vec<u64> = (0..nl.inputs().len()).map(|_| rng.next_u64()).collect();
         simulate_word(&mut signatures, &words);
     }
@@ -144,7 +121,7 @@ pub fn sweep_cec(
     let mut idx = 0usize;
     let signals: Vec<Sig> = nl.signals().collect();
     while idx < signals.len() {
-        if start.elapsed() > cfg.timeout {
+        if budget.interrupted() {
             stats.solver = solver.stats();
             return CecOutcome { result: CecResult::Unknown, stats };
         }
@@ -203,7 +180,7 @@ pub fn sweep_cec(
             assumptions.push(sel);
             stats.sat_checks += 1;
             let res = solver
-                .solve_with(&assumptions, Budget::new().with_conflicts(cfg.node_conflicts));
+                .solve_with(&assumptions, Budget::new().with_conflicts(NODE_CONFLICTS));
             // Retire the activation literal.
             solver.add_clause([!sel]);
             match res {
@@ -242,17 +219,12 @@ pub fn sweep_cec(
         bucket.push((a, flip_a));
     }
 
-    // Final attack on the output with the remaining budget.
+    // Final attack on the output with the caller's budget.
     let lo = enc.lit(&mut solver, out);
     let mut assumptions = assumptions_base;
     assumptions.push(lo);
-    let remaining = cfg.timeout.saturating_sub(start.elapsed());
-    if remaining.is_zero() {
-        stats.solver = solver.stats();
-        return CecOutcome { result: CecResult::Unknown, stats };
-    }
     stats.sat_checks += 1;
-    let result = match solver.solve_with(&assumptions, Budget::new().with_timeout(remaining)) {
+    let result = match solver.solve_with(&assumptions, budget) {
         SolveResult::Unsat => CecResult::Equivalent,
         SolveResult::Sat => CecResult::NotEquivalent(model_counterexample(nl, &solver, &enc)),
         SolveResult::Unknown => CecResult::Unknown,
@@ -266,6 +238,8 @@ mod tests {
     use super::*;
     use crate::replay_counterexample;
     use sbif_netlist::build::{divider_miter, miter, nonrestoring_divider, restoring_divider};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     #[test]
     fn sweeping_proves_divider_miters() {
@@ -273,7 +247,7 @@ mod tests {
             let a = nonrestoring_divider(n);
             let b = restoring_divider(n);
             let m = divider_miter(&a.netlist, &b.netlist, n);
-            let outcome = sweep_cec(&m, "miter", None, SweepConfig::default());
+            let outcome = sweep_cec(&m, "miter", None, Budget::new());
             assert_eq!(outcome.result, CecResult::Equivalent, "n={n}");
         }
     }
@@ -297,7 +271,7 @@ mod tests {
         }
         b.add_output("o", acc);
         let m = miter(&a, &b);
-        let outcome = sweep_cec(&m, "miter", None, SweepConfig::default());
+        let outcome = sweep_cec(&m, "miter", None, Budget::new());
         assert_eq!(outcome.result, CecResult::Equivalent);
     }
 
@@ -315,7 +289,7 @@ mod tests {
             rebuilt.add_output(name, sig);
         }
         let m = divider_miter(&a.netlist, &rebuilt, n);
-        let outcome = sweep_cec(&m, "miter", None, SweepConfig::default());
+        let outcome = sweep_cec(&m, "miter", None, Budget::new());
         match outcome.result {
             CecResult::NotEquivalent(cex) => {
                 let out = m.output("miter").expect("miter");
@@ -331,8 +305,8 @@ mod tests {
         let a = nonrestoring_divider(n);
         let b = restoring_divider(n);
         let m = divider_miter(&a.netlist, &b.netlist, n);
-        let cfg = SweepConfig { timeout: Duration::from_millis(1), ..Default::default() };
-        let outcome = sweep_cec(&m, "miter", None, cfg);
+        let raised = Arc::new(AtomicBool::new(true));
+        let outcome = sweep_cec(&m, "miter", None, Budget::new().with_interrupt(raised));
         assert_eq!(outcome.result, CecResult::Unknown);
     }
 }

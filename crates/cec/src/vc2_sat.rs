@@ -53,19 +53,16 @@ fn vc2_miter(div: &Divider) -> Netlist {
 /// Checks vc2 (`C → 0 ≤ R < D`) with one bounded SAT query.
 /// `Equivalent` means the condition holds; `NotEquivalent` carries a
 /// replayable input assignment violating it; `Unknown` means the
-/// budget ran out first, or the cooperative `interrupt` flag (the
-/// wall-clock watchdog hook) was raised. With `certify`, an UNSAT
-/// answer is replayed through the independent DRAT checker (recorded
-/// in [`crate::CecStats::cert`]).
-pub fn vc2_sat(
-    div: &Divider,
-    budget: Budget,
-    certify: bool,
-    interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-) -> CecOutcome {
+/// budget's conflict cap was reached or its interrupt flag (the
+/// wall-clock watchdog hook) was raised. The cap is checked first, so
+/// a caller tells the two apart by comparing the conflicts spent
+/// against the cap. With `certify`, an UNSAT answer is replayed
+/// through the independent DRAT checker (recorded in
+/// [`crate::CecStats::cert`]).
+pub fn vc2_sat(div: &Divider, budget: Budget, certify: bool) -> CecOutcome {
     let nl = vc2_miter(div);
     let out = nl.output("vc2_miter").expect("vc2_miter was just added");
-    solve_miter(&nl, out, budget, certify, interrupt)
+    solve_miter(&nl, out, budget, certify)
 }
 
 #[cfg(test)]
@@ -79,7 +76,7 @@ mod tests {
     fn correct_dividers_satisfy_vc2_by_sat() {
         for n in [2usize, 3, 4] {
             let div = nonrestoring_divider(n);
-            let outcome = vc2_sat(&div, Budget::new(), false, None);
+            let outcome = vc2_sat(&div, Budget::new(), false);
             assert_eq!(outcome.result, CecResult::Equivalent, "n={n}");
             assert_eq!(outcome.stats.sat_checks, 1);
         }
@@ -88,12 +85,12 @@ mod tests {
     #[test]
     fn certified_vc2_sat_is_checked() {
         let div = nonrestoring_divider(3);
-        let outcome = vc2_sat(&div, Budget::new(), true, None);
+        let outcome = vc2_sat(&div, Budget::new(), true);
         assert_eq!(outcome.result, CecResult::Equivalent);
         assert_eq!(outcome.stats.cert.checked, 1);
         assert!(outcome.stats.cert.all_accepted());
         // Without certification nothing is recorded.
-        let plain = vc2_sat(&div, Budget::new(), false, None);
+        let plain = vc2_sat(&div, Budget::new(), false);
         assert_eq!(plain.stats.cert, crate::CertStats::default());
     }
 
@@ -105,7 +102,7 @@ mod tests {
         let mut bits = div.remainder.bits().to_vec();
         bits[0] = div.netlist.not(bits[0]);
         div.remainder = Word::new(bits);
-        let outcome = vc2_sat(&div, Budget::new(), false, None);
+        let outcome = vc2_sat(&div, Budget::new(), false);
         match outcome.result {
             CecResult::NotEquivalent(cex) => {
                 let nl = vc2_miter(&div);
@@ -119,7 +116,7 @@ mod tests {
     #[test]
     fn tiny_budget_reports_unknown() {
         let div = nonrestoring_divider(8);
-        let outcome = vc2_sat(&div, Budget::new().with_conflicts(1), false, None);
+        let outcome = vc2_sat(&div, Budget::new().with_conflicts(1), false);
         assert_eq!(outcome.result, CecResult::Unknown);
     }
 }

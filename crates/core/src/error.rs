@@ -1,5 +1,6 @@
 //! Error types of the verification flow.
 
+use sbif_govern::Exhausted;
 use std::fmt;
 
 /// Errors that abort a verification run (as opposed to a *negative
@@ -16,11 +17,12 @@ pub enum VerifyError {
         /// Substitution steps performed before the blow-up.
         steps: usize,
     },
-    /// A wall-clock budget was exhausted — the "TO" entries of Table II.
-    Timeout {
-        /// The phase that timed out (e.g. `"sbif"`, `"rewrite"`, `"vc2"`).
-        phase: &'static str,
-    },
+    /// The wall-clock watchdog cancelled a stage that was handed its
+    /// token (backward rewriting); the record names the stage. The
+    /// governed flow reports it as a `Vc1Outcome::Exhausted` verdict.
+    /// Table II's TO entries are not this: they are the baselines'
+    /// `CecResult::Unknown`.
+    Timeout(Exhausted),
     /// The netlist does not have the divider interface the flow expects.
     MalformedInterface(String),
 }
@@ -33,7 +35,7 @@ impl fmt::Display for VerifyError {
                 "polynomial blow-up: {reached} terms after {steps} substitutions \
                  (limit {limit})"
             ),
-            VerifyError::Timeout { phase } => write!(f, "budget exhausted during {phase}"),
+            VerifyError::Timeout(e) => write!(f, "{e}"),
             VerifyError::MalformedInterface(msg) => {
                 write!(f, "netlist lacks the divider interface: {msg}")
             }
@@ -52,7 +54,7 @@ mod tests {
         let e = VerifyError::TermLimitExceeded { limit: 10, reached: 11, steps: 3 };
         assert!(e.to_string().contains("blow-up"));
         assert!(e.to_string().contains("11"));
-        let e = VerifyError::Timeout { phase: "sbif" };
+        let e = VerifyError::Timeout(sbif_govern::CancelToken::new().exhausted("sbif"));
         assert!(e.to_string().contains("sbif"));
         let e = VerifyError::MalformedInterface("no q bus".into());
         assert!(e.to_string().contains("no q bus"));
@@ -61,7 +63,7 @@ mod tests {
     #[test]
     fn error_trait_object() {
         let e: Box<dyn std::error::Error> =
-            Box::new(VerifyError::Timeout { phase: "vc2" });
+            Box::new(VerifyError::Timeout(sbif_govern::CancelToken::new().exhausted("vc2")));
         assert!(e.to_string().contains("vc2"));
     }
 }

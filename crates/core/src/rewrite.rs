@@ -139,10 +139,10 @@ impl<'a> BackwardRewriter<'a> {
     }
 
     /// Attaches the wall-clock watchdog's cancel token: once it fires,
-    /// the next substitution step returns
-    /// [`VerifyError::Timeout`]`{ phase: "rewrite" }` instead of
-    /// finishing the traversal. Purely cooperative — committed
-    /// statistics up to the cut are untouched.
+    /// the next substitution step returns [`VerifyError::Timeout`] with
+    /// the token's record at stage `"rewrite"` instead of finishing the
+    /// traversal. Purely cooperative — committed statistics up to the
+    /// cut are untouched.
     pub fn with_interrupt(mut self, token: sbif_govern::CancelToken) -> Self {
         self.interrupt = Some(token);
         self
@@ -361,8 +361,8 @@ impl<'a> BackwardRewriter<'a> {
                 });
             }
         }
-        if self.interrupt.as_ref().is_some_and(|t| t.is_cancelled()) {
-            return Err(VerifyError::Timeout { phase: "rewrite" });
+        if let Some(token) = self.interrupt.as_ref().filter(|t| t.is_cancelled()) {
+            return Err(VerifyError::Timeout(token.exhausted("rewrite")));
         }
         Ok(())
     }

@@ -32,6 +32,7 @@ pub use sim::{divider_sim_words, try_divider_sim_words};
 use sbif_analysis::{canon_of, relate, CanonForm};
 use sbif_cec::certify_solver_unsat;
 use sbif_check::{CertOutcome, CertStats};
+use sbif_govern::{CancelToken, Exhausted};
 use sbif_netlist::{Gate, Netlist, Sig};
 use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
 
@@ -111,17 +112,17 @@ pub struct SbifStats {
     /// value — unlike [`sat_micros`](Self::sat_micros), they belong in
     /// the deterministic metrics report.
     pub solver: SolverStats,
-    /// `true` when a governed run stopped scanning candidates because
-    /// the cumulative committed solver-conflict ledger reached its
-    /// budget ([`SbifHooks::conflict_budget`]). The classes found up
-    /// to the cut are sound and committed; the flag is deterministic —
-    /// the ledger is accounted commit-side, so the cut happens at the
-    /// same signal for every `jobs` value.
-    pub exhausted: bool,
-    /// `true` when the wall-clock watchdog cancelled the scan. Unlike
-    /// [`exhausted`](Self::exhausted) this is *not* reproducible; a
-    /// cancelled run must never be cached.
-    pub cancelled: bool,
+    /// Why a governed run stopped scanning candidates early, at stage
+    /// `"sbif"`. On [`sbif_govern::Resource::SatConflicts`] the
+    /// cumulative committed solver-conflict ledger
+    /// ([`solver`](Self::solver)) reached its budget
+    /// ([`SbifHooks::conflict_budget`]): the classes found up to the cut
+    /// are sound and committed, and the record is deterministic — the
+    /// ledger is accounted commit-side, so the cut happens at the same
+    /// signal for every `jobs` value. On the wall clock the watchdog
+    /// cancelled the scan; that is *not* reproducible, and the run must
+    /// never be cached.
+    pub stopped: Option<Exhausted>,
     /// Candidate decisions that actually built a window solver. Without
     /// a [`SbifPrefilter`] this equals [`sat_checks`](Self::sat_checks);
     /// the gap is the SAT work the static analysis saved.
@@ -283,8 +284,9 @@ pub struct SbifHooks {
     /// total ([`SbifStats::solver`]) reaches this. Partial classes are
     /// always sound (fewer merges, never wrong ones).
     pub conflict_budget: Option<u64>,
-    /// Cooperative cancellation (sets [`SbifStats::cancelled`]).
-    pub cancel: Option<sbif_govern::CancelToken>,
+    /// Cooperative cancellation (records the token's
+    /// [`exhausted`](CancelToken::exhausted) in [`SbifStats::stopped`]).
+    pub cancel: Option<CancelToken>,
 }
 
 /// Runs Alg. 1: partitions the signals of `nl` into equivalence classes
@@ -295,8 +297,8 @@ pub struct SbifHooks {
 /// simulation words per input — they must satisfy the constraint (see
 /// [`divider_sim_words`]). `hooks` adds the prefilter, the conflict
 /// budget and the cancel token (see [`SbifHooks`]); a budget or a
-/// cancellation stops the scan early and sets [`SbifStats::exhausted`]
-/// or [`SbifStats::cancelled`].
+/// cancellation stops the scan early and records why in
+/// [`SbifStats::stopped`].
 ///
 /// # Examples
 ///

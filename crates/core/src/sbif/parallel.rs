@@ -97,6 +97,7 @@ use super::{
     check_window_pair, EquivClasses, Prefiltered, SbifConfig, SbifHooks, SbifPrefilter, SbifStats,
     WindowBatch, WindowOutcome, MAX_CANDIDATES,
 };
+use sbif_govern::{Exhausted, Resource};
 use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{SolveResult, SolverStats};
 use std::collections::HashMap;
@@ -505,29 +506,25 @@ pub(super) fn run(
     // cut lands on the same signal for any `jobs` value. The
     // deterministic budget is checked before the (racy) cancel flag so
     // exhaustion always wins when both fire.
-    let stop = |stats: &SbifStats| -> Option<bool> {
-        if hooks.conflict_budget.is_some_and(|limit| stats.solver.conflicts >= limit) {
-            return Some(false); // exhausted
+    let stop = |stats: &SbifStats| -> Option<Exhausted> {
+        let spent = stats.solver.conflicts;
+        if let Some(limit) = hooks.conflict_budget.filter(|&limit| spent >= limit) {
+            return Some(Exhausted {
+                stage: "sbif",
+                resource: Resource::SatConflicts,
+                spent,
+                limit,
+            });
         }
-        if hooks.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            return Some(true); // cancelled
-        }
-        None
-    };
-    let mark = |stats: &mut SbifStats, cancelled: bool| {
-        if cancelled {
-            stats.cancelled = true;
-        } else {
-            stats.exhausted = true;
-        }
+        hooks.cancel.as_ref().filter(|c| c.is_cancelled()).map(|c| c.exhausted("sbif"))
     };
 
     'batches: for batch in sched.batches() {
         let mut lanes: Vec<Mutex<Lane<'_>>> =
             (0..LANES).map(|_| Mutex::new(Lane::new(nl, constraint, cfg))).collect();
         for level_run in sched.level_runs(batch.clone()) {
-            if let Some(cancelled) = stop(&stats) {
-                mark(&mut stats, cancelled);
+            if let Some(e) = stop(&stats) {
+                stats.stopped = Some(e);
                 break 'batches;
             }
             // Deterministic refinement flush point: a level boundary,
@@ -549,8 +546,8 @@ pub(super) fn run(
                 jobs,
             );
             for p in level_run {
-                if let Some(cancelled) = stop(&stats) {
-                    mark(&mut stats, cancelled);
+                if let Some(e) = stop(&stats) {
+                    stats.stopped = Some(e);
                     break 'batches;
                 }
                 commit_signal(

@@ -13,6 +13,7 @@ use sbif_bdd::{
     bdd_of_signal, interleaved_fanin_order, remainder_in_range, weakest_precondition_budgeted,
     BddManager, BddWord, WpcLimits, WpcStats,
 };
+use sbif_govern::{CancelToken, Exhausted, Resource};
 use sbif_netlist::build::Divider;
 
 /// Initial live-node threshold that triggers dynamic (symmetric)
@@ -70,31 +71,18 @@ pub fn check_vc2(div: &Divider) -> Vc2Report {
     check_vc2_governed(div, None, None).expect("ungoverned vc2 always completes")
 }
 
-/// How far a governed vc2 BDD traversal got before giving up (the
-/// `Err` side of [`check_vc2_governed`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Vc2Exhausted {
-    /// `true` when the wall-clock watchdog cancelled the traversal
-    /// (non-reproducible); `false` when the live-node budget tripped
-    /// (deterministic — the traversal is sequential).
-    pub cancelled: bool,
-    /// Live nodes when the traversal stopped.
-    pub live_nodes: usize,
-    /// Peak live nodes over the partial traversal.
-    pub peak_nodes: usize,
-    /// Partial traversal statistics (`composed` tells how far it got).
-    pub wpc_stats: WpcStats,
-}
-
-/// [`check_vc2`] under a live-node budget and/or a cancel token. On
-/// exhaustion the caller is expected to degrade to the bounded SAT
-/// fallback (`sbif_cec::vc2_sat`) — see the fallback ladder in
-/// DESIGN.md §16.
+/// [`check_vc2`] under a live-node budget and/or a cancel token. A
+/// stopped traversal returns its record at stage `"vc2"`: on
+/// [`Resource::BddLiveNodes`] (deterministic — the traversal is
+/// sequential; `spent` is the live-node count at the cut), after which
+/// the caller is expected to degrade to the bounded SAT fallback
+/// (`sbif_cec::vc2_sat`, see the fallback ladder in DESIGN.md §16), or
+/// on the wall clock when the watchdog cancelled it.
 pub fn check_vc2_governed(
     div: &Divider,
     max_live_nodes: Option<usize>,
-    cancel: Option<&sbif_govern::CancelToken>,
-) -> Result<Vc2Report, Vc2Exhausted> {
+    cancel: Option<&CancelToken>,
+) -> Result<Vc2Report, Exhausted> {
     let nl = &div.netlist;
     let mut m = BddManager::with_table_capacity(TABLE_CAPACITY);
     m.reorder_threshold = REORDER_THRESHOLD;
@@ -103,17 +91,21 @@ pub fn check_vc2_governed(
     let r = BddWord::from(&div.remainder);
     let d = BddWord::from(&div.divisor);
     let predicate = remainder_in_range(&mut m, &r, &d);
-    let limits = WpcLimits { max_live_nodes, interrupt: cancel.map(|t| t.flag()) };
+    let limits = WpcLimits { max_live_nodes, interrupt: cancel.map(CancelToken::flag) };
     let (wpc, wpc_stats) = weakest_precondition_budgeted(&mut m, nl, predicate, &limits);
     let Some(wpc) = wpc else {
         // A deterministic budget overrun wins the attribution over a
         // racing cancellation (mirrors the SBIF commit loop).
-        let over = max_live_nodes.is_some_and(|mx| m.live_nodes() > mx);
-        return Err(Vc2Exhausted {
-            cancelled: !over,
-            live_nodes: m.live_nodes(),
-            peak_nodes: m.peak_nodes,
-            wpc_stats,
+        return Err(match max_live_nodes.filter(|&mx| m.live_nodes() > mx) {
+            Some(limit) => Exhausted {
+                stage: "vc2",
+                resource: Resource::BddLiveNodes,
+                spent: m.live_nodes() as u64,
+                limit: limit as u64,
+            },
+            None => cancel
+                .expect("only the budget or the token stops the traversal")
+                .exhausted("vc2"),
         });
     };
     let c = bdd_of_signal(&mut m, nl, div.constraint);
@@ -227,15 +219,15 @@ mod tests {
         // A 1-node ceiling trips immediately and deterministically.
         let err = check_vc2_governed(&div, Some(1), None)
             .expect_err("1-node budget must exhaust");
-        assert!(!err.cancelled, "budget overrun, not cancellation");
-        assert!(err.live_nodes > 1);
+        assert_eq!(err.resource, Resource::BddLiveNodes, "budget overrun, not cancellation");
+        assert!(err.spent > 1);
         // A pre-cancelled token stops the traversal and is attributed as
         // a cancellation (no deterministic budget in play).
-        let token = sbif_govern::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
         let err = check_vc2_governed(&div, None, Some(&token))
             .expect_err("cancelled token must stop the traversal");
-        assert!(err.cancelled);
+        assert_eq!(err, token.exhausted("vc2"));
         // Ample budget reproduces the ungoverned result exactly.
         let ungoverned = check_vc2(&div);
         let governed = check_vc2_governed(&div, Some(1 << 20), None)

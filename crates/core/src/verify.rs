@@ -262,7 +262,10 @@ impl<'a> DividerVerifier<'a> {
     /// up (expected without SBIF beyond small widths).
     pub fn verify(&self) -> Result<VerificationReport, VerifyError> {
         let g = self.config.govern;
-        let (cancel, _watchdog) = Self::arm_watchdog(&g);
+        // The watchdog must stay alive for the whole run: dropping it
+        // disarms.
+        let (_watchdog, cancel) =
+            g.timeout_ms.map(|ms| Watchdog::arm(Duration::from_millis(ms))).unzip();
         let verify_span = self.recorder.span("verify");
         let vc1 = self.vc1_governed(cancel.as_ref())?;
         let t0 = Instant::now();
@@ -276,8 +279,8 @@ impl<'a> DividerVerifier<'a> {
             && !matches!(vc1.outcome, Vc1Outcome::Exhausted(e) if !e.deterministic());
         let mut vc2 = None;
         let mut vc2_fallback = None;
-        let mut vc2_exhausted: Option<Exhausted> = None;
-        let mut vc2_cancelled = false;
+        // Why vc2 stopped without a verdict, if it did.
+        let mut vc2_stopped: Option<Exhausted> = None;
         if run_vc2 {
             let span = self.recorder.span("vc2");
             match check_vc2_governed(self.divider, g.vc2_live_nodes, cancel.as_ref()) {
@@ -285,71 +288,19 @@ impl<'a> DividerVerifier<'a> {
                     self.record_vc2_metrics(&report);
                     vc2 = Some(report);
                 }
-                Err(ex) if !ex.cancelled => {
+                Err(ex) if ex.deterministic() => {
                     // Deterministic live-node exhaustion: degrade to one
                     // bounded SAT query of the vc2 property — the next
                     // rung of the fallback ladder.
                     self.recorder.add("govern.vc2_exhausted", 1);
-                    self.recorder.add("govern.vc2_live_nodes_spent", ex.live_nodes as u64);
-                    let budget = g
-                        .vc2_sat_conflicts
-                        .unwrap_or(GovernConfig::DEFAULT_VC2_SAT_CONFLICTS);
-                    let fb_span = self.recorder.span("vc2-sat");
-                    let outcome = sbif_cec::vc2_sat(
-                        self.divider,
-                        sbif_sat::Budget::new().with_conflicts(budget),
-                        self.config.sbif.certify,
-                        cancel.as_ref().map(CancelToken::flag),
-                    );
-                    fb_span.close();
-                    self.recorder.add("govern.vc2_sat_fallback", 1);
-                    let conflicts = outcome.stats.solver.conflicts;
-                    let cert = outcome.stats.cert;
-                    let fallback = match outcome.result {
-                        CecResult::Equivalent => Vc2Fallback {
-                            holds: Some(true),
-                            counterexample: None,
-                            conflicts,
-                            budget,
-                            cert,
-                        },
-                        CecResult::NotEquivalent(cex) => Vc2Fallback {
-                            holds: Some(false),
-                            counterexample: Some(cex),
-                            conflicts,
-                            budget,
-                            cert,
-                        },
-                        CecResult::Unknown => {
-                            // Deterministic budget exhaustion wins the
-                            // attribution over a racing cancellation.
-                            if conflicts >= budget {
-                                self.recorder.add("govern.vc2_sat_exhausted", 1);
-                                vc2_exhausted = Some(Exhausted {
-                                    stage: "vc2-sat",
-                                    resource: Resource::SatConflicts,
-                                    spent: conflicts,
-                                    limit: budget,
-                                });
-                            } else {
-                                vc2_cancelled = true;
-                            }
-                            Vc2Fallback {
-                                holds: None,
-                                counterexample: None,
-                                conflicts,
-                                budget,
-                                cert,
-                            }
-                        }
-                    };
+                    self.recorder.add("govern.vc2_live_nodes_spent", ex.spent);
+                    let (fallback, stopped) = self.vc2_sat_fallback(cancel.as_ref());
                     vc2_fallback = Some(fallback);
+                    vc2_stopped = stopped;
                 }
-                Err(_) => {
-                    // Wall-clock cancellation mid-traversal: no
-                    // fallback, the whole flow is being torn down.
-                    vc2_cancelled = true;
-                }
+                // Wall-clock cancellation mid-traversal: no fallback,
+                // the whole flow is being torn down.
+                Err(ex) => vc2_stopped = Some(ex),
             }
             span.close();
         }
@@ -358,18 +309,14 @@ impl<'a> DividerVerifier<'a> {
         let refuted = matches!(vc1.outcome, Vc1Outcome::Refuted { .. })
             || vc2.as_ref().is_some_and(|r| !r.holds)
             || vc2_fallback.as_ref().is_some_and(|f| f.holds == Some(false));
-        let cancelled = vc1.sbif.cancelled
-            || matches!(vc1.outcome, Vc1Outcome::Exhausted(e) if !e.deterministic())
-            || vc2_cancelled;
-        let wall = |stage: &'static str| Exhausted {
-            stage,
-            resource: Resource::WallClock,
-            spent: g.timeout_ms.unwrap_or(0),
-            limit: g.timeout_ms.unwrap_or(0),
+        let vc1_stopped = match vc1.outcome {
+            Vc1Outcome::Exhausted(e) => Some(e),
+            _ => None,
         };
+        let cancelled = vc1_stopped.iter().chain(&vc2_stopped).any(|e| !e.deterministic());
         let verdict = if refuted {
             Verdict::Refuted
-        } else if let Vc1Outcome::Exhausted(e) = vc1.outcome {
+        } else if let Some(e) = vc1_stopped {
             Verdict::Inconclusive { exhausted_at: e }
         } else if let Vc1Outcome::Inconclusive { residual_terms } = vc1.outcome {
             // The paper's incomplete direction: a non-zero residual that
@@ -383,10 +330,8 @@ impl<'a> DividerVerifier<'a> {
                     limit: 0,
                 },
             }
-        } else if let Some(e) = vc2_exhausted {
+        } else if let Some(e) = vc2_stopped {
             Verdict::Inconclusive { exhausted_at: e }
-        } else if vc2_cancelled {
-            Verdict::Inconclusive { exhausted_at: wall("vc2") }
         } else {
             Verdict::Proven
         };
@@ -407,31 +352,45 @@ impl<'a> DividerVerifier<'a> {
         })
     }
 
-    /// Arms the wall-clock watchdog when the governor configures one.
-    /// The returned [`Watchdog`] must stay alive for the duration of
-    /// the run (dropping it disarms).
-    fn arm_watchdog(g: &GovernConfig) -> (Option<CancelToken>, Option<Watchdog>) {
-        match g.timeout_ms {
-            Some(ms) => {
-                let token = CancelToken::new();
-                let wd = Watchdog::arm(Duration::from_millis(ms), &token);
-                (Some(token), Some(wd))
+    /// The bounded SAT fallback that decides vc2 once the BDD
+    /// traversal ran out of live nodes. Returns the fallback's report
+    /// and, when it decided nothing, why it stopped.
+    fn vc2_sat_fallback(&self, cancel: Option<&CancelToken>) -> (Vc2Fallback, Option<Exhausted>) {
+        let budget =
+            self.config.govern.vc2_sat_conflicts.unwrap_or(GovernConfig::DEFAULT_VC2_SAT_CONFLICTS);
+        let sat_budget = sbif_sat::Budget {
+            max_conflicts: Some(budget),
+            interrupt: cancel.map(CancelToken::flag),
+        };
+        let span = self.recorder.span("vc2-sat");
+        let outcome = sbif_cec::vc2_sat(self.divider, sat_budget, self.config.sbif.certify);
+        span.close();
+        self.recorder.add("govern.vc2_sat_fallback", 1);
+        let conflicts = outcome.stats.solver.conflicts;
+        let (holds, counterexample, stopped) = match outcome.result {
+            CecResult::Equivalent => (Some(true), None, None),
+            CecResult::NotEquivalent(cex) => (Some(false), Some(cex), None),
+            CecResult::Unknown => {
+                // `sbif-cec` cannot build the record. The solver checks
+                // the conflict cap first, so reaching it wins the
+                // attribution over a racing cancellation.
+                let stop = match cancel {
+                    Some(token) if conflicts < budget => token.exhausted("vc2"),
+                    _ => {
+                        self.recorder.add("govern.vc2_sat_exhausted", 1);
+                        Exhausted {
+                            stage: "vc2-sat",
+                            resource: Resource::SatConflicts,
+                            spent: conflicts,
+                            limit: budget,
+                        }
+                    }
+                };
+                (None, None, Some(stop))
             }
-            None => (None, None),
-        }
-    }
-
-    /// Runs only the vc1 check (SBIF + modified backward rewriting),
-    /// under the configured governor.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::TermLimitExceeded`] on polynomial blow-up (when
-    /// no rewrite budget is governed — a governed blow-up becomes
-    /// [`Vc1Outcome::Exhausted`] instead).
-    pub fn verify_vc1(&self) -> Result<Vc1Report, VerifyError> {
-        let (cancel, _watchdog) = Self::arm_watchdog(&self.config.govern);
-        self.vc1_governed(cancel.as_ref())
+        };
+        let cert = outcome.stats.cert;
+        (Vc2Fallback { holds, counterexample, conflicts, budget, cert }, stopped)
     }
 
     /// The vc1 flow proper, polling `cancel` at stage boundaries.
@@ -492,19 +451,13 @@ impl<'a> DividerVerifier<'a> {
             (None, SbifStats::default())
         };
         let sbif_time = t0.elapsed();
-        if sbif_stats.cancelled {
+        if let Some(e) = sbif_stats.stopped.filter(|e| !e.deterministic()) {
             // The watchdog fired mid-scan. Deterministic budget cuts
-            // (`exhausted`) fall through instead: the classes found so
-            // far are sound, and rewriting continues with them — the
-            // first rung of the fallback ladder.
-            let ms = g.timeout_ms.unwrap_or(0);
+            // fall through instead: the classes found so far are sound,
+            // and rewriting continues with them — the first rung of the
+            // fallback ladder.
             let report = Vc1Report {
-                outcome: Vc1Outcome::Exhausted(Exhausted {
-                    stage: "sbif",
-                    resource: Resource::WallClock,
-                    spent: ms,
-                    limit: ms,
-                }),
+                outcome: Vc1Outcome::Exhausted(e),
                 sbif: sbif_stats,
                 rewrite: RewriteStats::default(),
                 sbif_time,
@@ -568,16 +521,7 @@ impl<'a> DividerVerifier<'a> {
                 };
                 (Vc1Outcome::Exhausted(e), stats, CertStats::default())
             }
-            Err(VerifyError::Timeout { .. })
-                if cancel.is_some_and(|t| t.is_cancelled()) =>
-            {
-                let ms = g.timeout_ms.unwrap_or(0);
-                let e = Exhausted {
-                    stage: "rewrite",
-                    resource: Resource::WallClock,
-                    spent: ms,
-                    limit: ms,
-                };
+            Err(VerifyError::Timeout(e)) => {
                 (Vc1Outcome::Exhausted(e), RewriteStats::default(), CertStats::default())
             }
             Err(e) => return Err(e),
@@ -662,9 +606,9 @@ impl<'a> DividerVerifier<'a> {
         // a governed run that never trips a budget stays byte-identical
         // to the ungoverned run (which makes normalizing the governor
         // out of the cache fingerprint sound).
-        if s.exhausted {
+        if let Some(e) = s.stopped.filter(Exhausted::deterministic) {
             r.add("govern.sbif_exhausted", 1);
-            r.add("govern.sbif_conflicts_spent", s.solver.conflicts);
+            r.add("govern.sbif_conflicts_spent", e.spent);
         }
         if let Vc1Outcome::Exhausted(e) = &report.outcome {
             if e.deterministic() {
@@ -893,13 +837,15 @@ mod tests {
     fn sbif_keeps_peaks_small() {
         let n = 6;
         let div = nonrestoring_divider(n);
-        let with = DividerVerifier::new(&div).verify_vc1().expect("fits");
+        let vc1_only = VerifierConfig { check_vc2: false, ..VerifierConfig::default() };
+        let with = DividerVerifier::new(&div).with_config(vc1_only).verify().expect("fits").vc1;
         let without_cfg = VerifierConfig {
             use_sbif: false,
             rewrite: RewriteConfig { max_terms: Some(2_000_000), ..RewriteConfig::default() },
-            ..VerifierConfig::default()
+            ..vc1_only
         };
-        let without = DividerVerifier::new(&div).with_config(without_cfg).verify_vc1();
+        let without =
+            DividerVerifier::new(&div).with_config(without_cfg).verify().map(|r| r.vc1);
         let with_peak = with.rewrite.peak_terms;
         match without {
             Ok(r) => assert!(
@@ -1054,7 +1000,7 @@ mod tests {
             stage_signs: Vec::new(),
             constraint: ins[0],
         };
-        let err = DividerVerifier::new(&div).verify_vc1().expect_err("malformed");
+        let err = DividerVerifier::new(&div).verify().expect_err("malformed");
         assert!(matches!(err, VerifyError::MalformedInterface(_)), "{err}");
         assert!(err.to_string().contains("unnamed"));
     }

@@ -25,11 +25,19 @@
 //!   marked non-reproducible ([`Exhausted::deterministic`] is `false`)
 //!   and must never be written to the result cache.
 //!
+//! The watchdog is the only clock: no engine reads the time itself.
+//! Each stage that stops builds its own [`Exhausted`] record where it
+//! stops — from its deterministic budget, checked first, or from the
+//! [`CancelToken`] via [`CancelToken::exhausted`] — and the flow only
+//! combines the records.
+//!
 //! The crate is std-only and dependency-free, like the rest of the
-//! workspace; engine crates that must not depend on it (`sbif-sat`,
-//! `sbif-bdd` sit below it in the dependency order) expose their own
-//! primitive limit/interrupt hooks, which `sbif-core` adapts onto these
-//! types.
+//! workspace. The engine crates below it in the dependency order
+//! (`sbif-sat`, `sbif-cec`, `sbif-bdd`) do not depend on it: their
+//! limits are a deterministic cap plus the raw flag of
+//! [`CancelToken::flag`] (`sbif_sat::Budget { max_conflicts, interrupt }`
+//! and `sbif_bdd::WpcLimits { max_live_nodes, interrupt }`), and
+//! `sbif-core` turns their stops into [`Exhausted`] records.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -163,14 +171,18 @@ impl fmt::Display for Verdict {
 /// Cloning is cheap and shares the flag. Engines poll
 /// [`CancelToken::is_cancelled`] at their natural budget poll points;
 /// nothing is ever interrupted preemptively, so committed metrics stay
-/// deterministic even when a run is cut short.
+/// deterministic even when a run is cut short. A token armed by
+/// [`Watchdog::arm`] remembers its timeout, so the stage it stops can
+/// report it ([`CancelToken::exhausted`]).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    timeout_ms: u64,
 }
 
 impl CancelToken {
-    /// A fresh, uncancelled token.
+    /// A fresh, uncancelled token that no watchdog arms (its
+    /// [`exhausted`](Self::exhausted) record reads 0 ms).
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
@@ -185,16 +197,28 @@ impl CancelToken {
         self.flag.load(Ordering::Relaxed)
     }
 
-    /// The raw flag, for engine crates (`sbif-sat`, `sbif-bdd`) that
-    /// expose an `Arc<AtomicBool>` interrupt hook instead of depending
-    /// on this crate.
+    /// The raw flag, for the engine crates below this one (`sbif-sat`,
+    /// `sbif-cec`, `sbif-bdd`), whose limits carry it as their
+    /// `interrupt` field instead of depending on this crate.
     pub fn flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.flag)
     }
+
+    /// The record of `stage` stopping on this token: the wall clock,
+    /// with the watchdog's timeout as both the amount spent and the
+    /// budget.
+    pub fn exhausted(&self, stage: &'static str) -> Exhausted {
+        Exhausted {
+            stage,
+            resource: Resource::WallClock,
+            spent: self.timeout_ms,
+            limit: self.timeout_ms,
+        }
+    }
 }
 
-/// A wall-clock watchdog: a background thread that cancels `token`
-/// once `timeout` has elapsed. Dropping the watchdog disarms it (the
+/// A wall-clock watchdog: a background thread that cancels its token
+/// once the timeout has elapsed. Dropping the watchdog disarms it (the
 /// thread is woken and joined), so a run that finishes in time is
 /// never cancelled retroactively.
 #[derive(Debug)]
@@ -204,12 +228,17 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Arms a watchdog over `token`. The thread polls its own disarm
-    /// flag every 10 ms (bounded join latency) and fires at most once.
-    pub fn arm(timeout: Duration, token: &CancelToken) -> Watchdog {
+    /// Arms a watchdog and returns it with the token it will cancel
+    /// after `timeout`. The thread polls its own disarm flag every
+    /// 10 ms (bounded join latency) and fires at most once.
+    pub fn arm(timeout: Duration) -> (Watchdog, CancelToken) {
+        let token = CancelToken {
+            flag: Arc::default(),
+            timeout_ms: u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
+        };
         let disarm = Arc::new(AtomicBool::new(false));
         let thread_disarm = Arc::clone(&disarm);
-        let token = token.clone();
+        let thread_token = token.clone();
         let handle = std::thread::Builder::new()
             .name("sbif-watchdog".to_string())
             .spawn(move || {
@@ -218,14 +247,14 @@ impl Watchdog {
                 while !thread_disarm.load(Ordering::Relaxed) {
                     let now = std::time::Instant::now();
                     if now >= deadline {
-                        token.cancel();
+                        thread_token.cancel();
                         return;
                     }
                     std::thread::sleep(tick.min(deadline - now));
                 }
             })
             .expect("watchdog thread spawns");
-        Watchdog { disarm, handle: Some(handle) }
+        (Watchdog { disarm, handle: Some(handle) }, token)
     }
 }
 
@@ -355,21 +384,22 @@ mod tests {
 
     #[test]
     fn watchdog_fires_after_timeout() {
-        let t = CancelToken::new();
-        let _w = Watchdog::arm(Duration::from_millis(20), &t);
+        let (_w, t) = Watchdog::arm(Duration::from_millis(20));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !t.is_cancelled() {
             assert!(std::time::Instant::now() < deadline, "watchdog never fired");
             std::thread::sleep(Duration::from_millis(5));
         }
+        // The stopped stage reports the timeout as spent and budget.
+        let e = t.exhausted("vc2");
+        assert_eq!(e.to_string(), "vc2 exhausted wall-clock (20 spent of 20 budget)");
+        assert!(!e.deterministic());
     }
 
     #[test]
     fn dropped_watchdog_never_fires() {
-        let t = CancelToken::new();
-        {
-            let _w = Watchdog::arm(Duration::from_secs(60), &t);
-        }
+        let (w, t) = Watchdog::arm(Duration::from_secs(60));
+        drop(w);
         // Drop joined the thread; the token must still be clean.
         assert!(!t.is_cancelled());
     }

@@ -12,7 +12,8 @@
 //! * Luby-sequence restarts,
 //! * LBD-based learnt-clause database reduction,
 //! * incremental solving under assumptions,
-//! * conflict/time budgets (the "TO" entries of Table II).
+//! * conflict budgets and a cooperative interrupt flag (the "TO"
+//!   entries of Table II).
 //!
 //! [`tseitin`] encodes [`sbif_netlist::Netlist`] cones into CNF; [`dimacs`]
 //! reads and writes the standard exchange format.

@@ -2,7 +2,8 @@
 
 use crate::proof::ProofLog;
 use crate::{Lit, Var};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Three-valued assignment.
 const TRUE: u8 = 1;
@@ -16,28 +17,35 @@ pub enum SolveResult {
     Sat,
     /// The formula (under the given assumptions) is unsatisfiable.
     Unsat,
-    /// The budget (conflicts or wall clock) was exhausted — the "TO"
-    /// entries of the paper's Table II.
+    /// The conflict cap was reached or the interrupt flag was raised —
+    /// the "TO" entries of the paper's Table II.
     Unknown,
 }
 
-/// Resource limits for a solve call.
+/// Resource limits for a solve call: a deterministic conflict cap and
+/// a cooperative interrupt flag. Both are checked at every conflict,
+/// the cap first. The flag is the only clock: a wall-clock watchdog
+/// (`sbif_govern::Watchdog`) raises it, and the solver never reads
+/// the time itself.
 ///
 /// # Examples
 ///
 /// ```
 /// use sbif_sat::Budget;
-/// use std::time::Duration;
+/// use std::sync::atomic::AtomicBool;
+/// use std::sync::Arc;
 ///
-/// let b = Budget::new().with_conflicts(10_000).with_timeout(Duration::from_secs(5));
+/// let flag = Arc::new(AtomicBool::new(false));
+/// let b = Budget::new().with_conflicts(10_000).with_interrupt(flag);
 /// assert_eq!(b.max_conflicts, Some(10_000));
+/// assert!(!b.interrupted());
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Budget {
     /// Abort after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Abort once this much wall-clock time has elapsed.
-    pub timeout: Option<std::time::Duration>,
+    /// Abort once this flag is raised.
+    pub interrupt: Option<Arc<AtomicBool>>,
 }
 
 impl Budget {
@@ -52,10 +60,15 @@ impl Budget {
         self
     }
 
-    /// Limits wall-clock time.
-    pub fn with_timeout(mut self, d: std::time::Duration) -> Self {
-        self.timeout = Some(d);
+    /// Stops at the first conflict after `flag` is raised.
+    pub fn with_interrupt(mut self, flag: Arc<AtomicBool>) -> Self {
+        self.interrupt = Some(flag);
         self
+    }
+
+    /// `true` once the interrupt flag is raised.
+    pub fn interrupted(&self) -> bool {
+        self.interrupt.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
     }
 }
 
@@ -153,9 +166,6 @@ pub struct Solver {
     // certification
     proof: Option<Box<ProofLog>>,
     final_conflict: Vec<Lit>,
-    // cooperative cancellation (wall-clock watchdog); polled alongside
-    // the timeout check, never alters committed statistics
-    interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 const HEAP_ABSENT: usize = usize::MAX;
@@ -199,14 +209,6 @@ impl Solver {
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
         self.assign.len()
-    }
-
-    /// Installs a shared cancellation flag. Once the flag is set,
-    /// [`Solver::solve_with`] returns [`SolveResult::Unknown`] at its
-    /// next conflict — the same cooperative cadence as the wall-clock
-    /// budget, so an interrupted run never corrupts solver state.
-    pub fn set_interrupt(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.interrupt = Some(flag);
     }
 
     /// Number of problem (non-learnt) clauses added.
@@ -756,13 +758,14 @@ impl Solver {
         self.solve_with(assumptions, Budget::new())
     }
 
-    /// Solves under assumptions and a resource [`Budget`].
+    /// Solves under assumptions and a resource [`Budget`]. The budget
+    /// is only checked at conflicts, so an interrupted call leaves the
+    /// solver in a state later calls can continue from.
     pub fn solve_with(&mut self, assumptions: &[Lit], budget: Budget) -> SolveResult {
         self.final_conflict.clear();
         if !self.ok {
             return SolveResult::Unsat;
         }
-        let start = Instant::now();
         let start_conflicts = self.stats.conflicts;
         let mut restart_idx = 0u64;
         let result = 'outer: loop {
@@ -797,15 +800,8 @@ impl Solver {
                             break 'outer SolveResult::Unknown;
                         }
                     }
-                    if let Some(t) = budget.timeout {
-                        if self.stats.conflicts.is_multiple_of(128) && start.elapsed() >= t {
-                            break 'outer SolveResult::Unknown;
-                        }
-                    }
-                    if let Some(flag) = &self.interrupt {
-                        if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                            break 'outer SolveResult::Unknown;
-                        }
+                    if budget.interrupted() {
+                        break 'outer SolveResult::Unknown;
                     }
                     if self.stats.conflicts >= self.next_reduce {
                         self.reduce_db();
@@ -1045,8 +1041,6 @@ mod tests {
 
     #[test]
     fn preset_interrupt_flag_returns_unknown_at_first_conflict() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
         // The same pigeonhole instance, cut off by a pre-raised
         // interrupt flag instead of a unit budget.
         let holes = 7i64;
@@ -1064,11 +1058,12 @@ mod tests {
             }
         }
         let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(Arc::clone(&flag));
-        assert_eq!(s.solve(), SolveResult::Unknown);
+        let budget = Budget::new().with_interrupt(Arc::clone(&flag));
+        assert_eq!(s.solve_with(&[], budget.clone()), SolveResult::Unknown);
+        assert_eq!(s.stats().conflicts, 1);
         // Clearing the flag lets the same solver finish the proof.
-        flag.store(false, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        flag.store(false, Ordering::Relaxed);
+        assert_eq!(s.solve_with(&[], budget), SolveResult::Unsat);
     }
 
     #[test]

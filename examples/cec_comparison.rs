@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --release --example cec_comparison [max_n]`
 
-use sbif::cec::{sat_cec, sweep_cec, CecResult, SweepConfig};
+use sbif::cec::{sat_cec, sweep_cec, CecResult};
+use sbif::govern::Watchdog;
 use sbif::netlist::build::{divider_miter, restoring_divider};
 use sbif::prelude::*;
 use sbif::sat::Budget;
@@ -22,22 +23,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let gold = restoring_divider(n);
         let miter = divider_miter(&div.netlist, &gold.netlist, n);
 
+        // Each baseline gets its own watchdog, which raises the
+        // interrupt flag of its solver budget once `budget` has passed.
+        let (_sat_watchdog, token) = Watchdog::arm(budget);
         let t = Instant::now();
-        let sat = match sat_cec(&miter, "miter", Budget::new().with_timeout(budget)).result {
+        let sat_budget = Budget::new().with_interrupt(token.flag());
+        let sat = match sat_cec(&miter, "miter", sat_budget).result {
             CecResult::Equivalent => format!("{:.2}s", t.elapsed().as_secs_f64()),
             CecResult::Unknown => "TO".into(),
             CecResult::NotEquivalent(_) => unreachable!("dividers are equivalent"),
         };
 
+        let (_sweep_watchdog, token) = Watchdog::arm(budget);
         let t = Instant::now();
-        let sweep = match sweep_cec(
-            &miter,
-            "miter",
-            None,
-            SweepConfig { timeout: budget, ..Default::default() },
-        )
-        .result
-        {
+        let sweep_budget = Budget::new().with_interrupt(token.flag());
+        let sweep = match sweep_cec(&miter, "miter", None, sweep_budget).result {
             CecResult::Equivalent => format!("{:.2}s", t.elapsed().as_secs_f64()),
             CecResult::Unknown => "TO".into(),
             CecResult::NotEquivalent(_) => unreachable!("dividers are equivalent"),

@@ -26,6 +26,13 @@ echo "==> cargo test -q --offline --workspace"
 # once; the gates below only add release-binary checks.
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --offline --locked --manifest-path ledger/Cargo.toml"
+# The benchmark (BENCHMARK.json) builds ledger/, a workspace of its own,
+# against the member crates through path dependencies; no other step
+# compiles it. `--locked` also fails the gate when a crate the ledger
+# builds gains or loses a dependency (ledger/Cargo.lock would change).
+cargo test -q --offline --locked --manifest-path ledger/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -5,7 +5,8 @@ mod common;
 
 #[allow(unused_imports)]
 use common::random_netlist;
-use sbif::cec::{sat_cec, sweep_cec, CecResult, SweepConfig};
+use sbif::cec::{sat_cec, sweep_cec, CecResult};
+use sbif::govern::Watchdog;
 use sbif::netlist::build::{divider_miter, miter, nonrestoring_divider, restoring_divider};
 use sbif::prelude::*;
 use sbif::sat::Budget;
@@ -20,7 +21,7 @@ fn all_three_flows_agree_on_correct_dividers() {
         let sat = sat_cec(&m, "miter", Budget::new());
         assert_eq!(sat.result, CecResult::Equivalent, "SAT n={n}");
 
-        let sweep = sweep_cec(&m, "miter", None, SweepConfig::default());
+        let sweep = sweep_cec(&m, "miter", None, Budget::new());
         assert_eq!(sweep.result, CecResult::Equivalent, "sweep n={n}");
 
         let report = DividerVerifier::new(&div).verify().expect("fits");
@@ -36,7 +37,7 @@ fn sat_and_sweep_agree_on_random_miters() {
         let b = random_netlist(seed + 100, 6, 30);
         let m = miter(&a, &b);
         let sat = sat_cec(&m, "miter", Budget::new());
-        let sweep = sweep_cec(&m, "miter", None, SweepConfig::default());
+        let sweep = sweep_cec(&m, "miter", None, Budget::new());
         match (&sat.result, &sweep.result) {
             (CecResult::Equivalent, CecResult::Equivalent) => {}
             (CecResult::NotEquivalent(_), CecResult::NotEquivalent(_)) => {}
@@ -70,7 +71,7 @@ fn counterexamples_replay() {
             );
         }
         if let CecResult::NotEquivalent(cex) =
-            sweep_cec(&m, "miter", None, SweepConfig::default()).result
+            sweep_cec(&m, "miter", None, Budget::new()).result
         {
             assert!(
                 sbif::cec::replay_counterexample(&m, &cex, out),
@@ -92,12 +93,8 @@ fn baseline_scaling_shape() {
     let m = divider_miter(&a.netlist, &b.netlist, n);
     let capped = sat_cec(&m, "miter", Budget::new().with_conflicts(2_000));
     assert_eq!(capped.result, CecResult::Unknown, "plain SAT under a tight cap");
-    let sweep = sweep_cec(
-        &m,
-        "miter",
-        None,
-        SweepConfig { timeout: std::time::Duration::from_secs(120), ..Default::default() },
-    );
+    let (_watchdog, token) = Watchdog::arm(std::time::Duration::from_secs(120));
+    let sweep = sweep_cec(&m, "miter", None, Budget::new().with_interrupt(token.flag()));
     assert_eq!(sweep.result, CecResult::Equivalent);
     assert!(sweep.stats.merged > 0, "sweeping must merge internal nodes");
 }

@@ -11,9 +11,13 @@
 //!   `exhausted_at` attribution and every `govern.*` counter are
 //!   byte-identical for any `--jobs` value.
 
+use sbif::cec::{vc2_sat, CecResult};
+use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
+use sbif::core::vc2::check_vc2_governed;
 use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
-use sbif::govern::{Resource, Verdict};
+use sbif::govern::{CancelToken, Resource, Verdict};
 use sbif::netlist::build::{nonrestoring_divider, srt_divider};
+use sbif::sat::Budget;
 
 /// Runs `div` under `config` and returns `(verdict, metrics_json)`.
 fn run(
@@ -131,6 +135,46 @@ fn watchdog_timeout_cancels_and_reports_wall_clock_inconclusive() {
     };
     assert_eq!(exhausted_at.resource, Resource::WallClock);
     assert!(!exhausted_at.deterministic());
+    // The stopped stage reports the watchdog's timeout.
+    assert_eq!((exhausted_at.spent, exhausted_at.limit), (1, 1));
     assert!(report.cancelled);
     assert_eq!(report.metrics.counter("govern.cancelled"), 1);
+}
+
+#[test]
+fn deterministic_budgets_beat_a_raised_token_at_every_stop_site() {
+    // Each stop site checks its deterministic budget before the token,
+    // so a run whose budget trips reproduces even when the watchdog
+    // fired too.
+    let raised = CancelToken::new();
+    raised.cancel();
+
+    // SBIF's commit poll: the committed conflict ledger first.
+    let div = nonrestoring_divider(4);
+    let sim = divider_sim_words(&div, 23, 2);
+    let hooks =
+        SbifHooks { conflict_budget: Some(0), cancel: Some(raised.clone()), ..SbifHooks::default() };
+    let (_, stats) =
+        forward_information(&div.netlist, Some(div.constraint), &sim, SbifConfig::default(), &hooks);
+    let stopped = stats.stopped.expect("the budget stops the scan");
+    assert_eq!((stopped.stage, stopped.resource), ("sbif", Resource::SatConflicts));
+
+    // The vc2 BDD traversal: the live-node cap first.
+    let stopped = check_vc2_governed(&nonrestoring_divider(6), Some(1), Some(&raised))
+        .expect_err("the cap stops the traversal");
+    assert_eq!((stopped.stage, stopped.resource), ("vc2", Resource::BddLiveNodes));
+
+    // The vc2 SAT fallback: the solver checks its conflict cap before
+    // the flag, and the flow reads `conflicts >= cap` as the cap.
+    let div = nonrestoring_divider(8);
+    let fallback = |cap| {
+        let budget = Budget::new().with_conflicts(cap).with_interrupt(raised.flag());
+        vc2_sat(&div, budget, false)
+    };
+    let capped = fallback(1);
+    assert_eq!(capped.result, CecResult::Unknown);
+    assert!(capped.stats.solver.conflicts >= 1, "read as the cap");
+    let flagged = fallback(5);
+    assert_eq!(flagged.result, CecResult::Unknown);
+    assert!(flagged.stats.solver.conflicts < 5, "read as the flag");
 }

@@ -23,6 +23,7 @@ use sbif::core::sbif::{
     SbifConfig, SbifHooks, SbifStats, WindowBatch,
 };
 use sbif::core::verify::{DividerVerifier, VerifierConfig};
+use sbif::govern::Resource;
 use sbif::netlist::build::{array_divider, nonrestoring_divider, srt_divider, Divider};
 use sbif::netlist::{Netlist, Sig};
 use sbif::sat::SolveResult;
@@ -42,7 +43,7 @@ fn fingerprint(nl: &Netlist, classes: &EquivClasses, s: &SbifStats) -> String {
     out.push_str(&format!(
         "| cand={} sat={} proven={} refuted={} unknown={} refine={} \
          levels={} spec={}/{} inits={} batch_checks={} \
-         conflicts={} props={} exhausted={}",
+         conflicts={} props={} stopped={:?}",
         s.candidates,
         s.sat_checks,
         s.proven,
@@ -56,7 +57,7 @@ fn fingerprint(nl: &Netlist, classes: &EquivClasses, s: &SbifStats) -> String {
         s.batch_checks,
         s.solver.conflicts,
         s.solver.propagations,
-        s.exhausted,
+        s.stopped,
     ));
     out
 }
@@ -164,7 +165,8 @@ fn governed_budget_exhaustion_is_jobs_invariant() {
         let cfg = SbifConfig { jobs, ..SbifConfig::default() };
         let (classes, stats) =
             forward_information(&div.netlist, Some(div.constraint), &sim, cfg, &hooks);
-        assert!(stats.exhausted, "jobs={jobs}: budget must trip");
+        let resource = stats.stopped.map(|e| e.resource);
+        assert_eq!(resource, Some(Resource::SatConflicts), "jobs={jobs}: budget must trip");
         let fp = fingerprint(&div.netlist, &classes, &stats);
         match &reference {
             None => reference = Some(fp),

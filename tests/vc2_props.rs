@@ -62,7 +62,7 @@ fn vc2_engines_agree(div: &Divider, label: &str) -> bool {
             "{label}: BDD counterexample does not replay"
         );
     }
-    match vc2_sat(div, Budget::new(), false, None).result {
+    match vc2_sat(div, Budget::new(), false).result {
         CecResult::Equivalent => assert!(bdd.holds, "{label}: SAT proves vc2, the BDD refutes it"),
         CecResult::NotEquivalent(cex) => {
             assert!(!bdd.holds, "{label}: SAT refutes vc2, the BDD proves it");
