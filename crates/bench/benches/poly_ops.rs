@@ -33,7 +33,25 @@ fn bench_poly(c: &mut Harness) {
         let gate = Poly::xor(&Poly::from_var(Var(30)), &Poly::from_var(Var(31)));
         bench.iter_batched(
             || a.clone(),
-            |p| p.substitute(Var(3), std::hint::black_box(&gate)),
+            |mut p| {
+                p.substitute(Var(3), std::hint::black_box(&gate));
+                p
+            },
+        )
+    });
+    c.bench_function("poly_substitute_one_term_quotient", |bench| {
+        // The shape of a non-restoring rewriting step: ~2,000 terms, and
+        // the substituted variable in exactly one of them.
+        let v = Var(40);
+        let big = sample_poly(40, 2_000)
+            + Poly::from_term(Monomial::from_vars([Var(1), v]), Int::from(3));
+        let gate = Poly::or(&Poly::from_var(Var(41)), &Poly::from_var(Var(42)));
+        bench.iter_batched(
+            || big.clone(),
+            |mut p| {
+                p.substitute(v, std::hint::black_box(&gate));
+                p
+            },
         )
     });
     c.bench_function("poly_eval_400", |bench| {

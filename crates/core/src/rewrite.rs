@@ -166,25 +166,24 @@ impl<'a> BackwardRewriter<'a> {
     /// values — a constant variable would otherwise survive (its gate
     /// sits at the very bottom of the netlist) and clog every
     /// intermediate polynomial with vanishing monomials.
-    fn map_to_representatives(&self, p: Poly) -> Poly {
-        let mut out = p;
-        for v in out.support() {
+    fn map_to_representatives(&self, mut p: Poly) -> Poly {
+        for v in p.support() {
             let s = Sig(v.0);
             if let Some(value) = self.nl.const_value(s) {
-                out = out.substitute_const(v, value);
+                p.substitute_const(v, value);
                 continue;
             }
             let Some(classes) = self.classes else { continue };
             let (r, neg) = classes.rep(s);
             if r.0 != v.0 {
                 if let Some(value) = self.nl.const_value(r) {
-                    out = out.substitute_const(v, value ^ neg);
+                    p.substitute_const(v, value ^ neg);
                 } else {
-                    out = out.substitute_representative(v, var_of(r), !neg);
+                    p.substitute_representative(v, var_of(r), !neg);
                 }
             }
         }
-        out
+        p
     }
 
     /// The polynomial substituted for the sum of block `k`:
@@ -344,7 +343,7 @@ impl<'a> BackwardRewriter<'a> {
             !p.contains_var(v),
             "self-referencing substitution for {s} would never resolve"
         );
-        *sp = sp.substitute(v, &p);
+        sp.substitute(v, &p);
         stats.steps += 1;
         let size = sp.num_terms();
         stats.peak_terms = stats.peak_terms.max(size);
@@ -488,8 +487,8 @@ mod tests {
         assert!(res.num_terms() >= 20, "got {} terms", res.num_terms());
         assert!(stats.peak_terms >= 20);
         // Sanity: forcing b1 = ¬a1 *after* the fact leaves a0 + b0 + c − 2.
-        let collapsed =
-            res.substitute_representative(var_of(sigs[4]), var_of(sigs[3]), false);
+        let mut collapsed = res;
+        collapsed.substitute_representative(var_of(sigs[4]), var_of(sigs[3]), false);
         assert_eq!(collapsed.num_terms(), 4);
     }
 

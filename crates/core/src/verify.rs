@@ -695,8 +695,10 @@ impl<'a> DividerVerifier<'a> {
     /// Decides whether a non-zero residual still vanishes on every input
     /// satisfying `C` (then vc1 is proven). The residual depends only on
     /// its support variables — all primary inputs after a complete run —
-    /// so enumerate their assignments; for each that makes the residual
-    /// non-zero, ask SAT whether it extends to a C-satisfying input.
+    /// so tabulate its value on all their assignments
+    /// ([`residual_values`]); for each, in ascending order, that makes
+    /// the residual non-zero, ask SAT whether it extends to a
+    /// C-satisfying input.
     ///
     /// Under [`SbifConfig::certify`], each UNSAT answer (assignment
     /// does not extend to a valid input) is DRAT-checked; the returned
@@ -730,15 +732,8 @@ impl<'a> DividerVerifier<'a> {
             .iter()
             .map(|v| enc.lit(&mut solver, sbif_netlist::Sig(v.0)))
             .collect();
-        for bits in 0u64..(1 << support.len()) {
-            let asg = |v: sbif_poly::Var| {
-                support
-                    .iter()
-                    .position(|&s| s == v)
-                    .map(|i| (bits >> i) & 1 == 1)
-                    .unwrap_or(false)
-            };
-            if residual.eval(asg).is_zero() {
+        for (bits, value) in residual_values(residual, &support).iter().enumerate() {
+            if value.is_zero() {
                 continue;
             }
             let assumptions: Vec<_> = lits
@@ -815,11 +810,75 @@ impl<'a> DividerVerifier<'a> {
     }
 }
 
+/// The value of `residual` at every assignment of `support`, its
+/// variables in ascending order: entry `bits` is the value where
+/// `support[i]` takes bit `i` of `bits`.
+///
+/// Each term's coefficient goes to the bit mask of its variables, and
+/// the subset-sum (zeta) transform then adds it into every assignment
+/// that sets all of them: `k·2^(k−1)` additions for `k` variables,
+/// instead of `2^k` evaluations of every term.
+fn residual_values(residual: &sbif_poly::Poly, support: &[sbif_poly::Var]) -> Vec<Int> {
+    let mut values = vec![Int::zero(); 1 << support.len()];
+    for t in residual.terms() {
+        let mask = t.monomial.vars().iter().fold(0, |mask, v| {
+            mask | 1 << support.binary_search(v).expect("support covers every term")
+        });
+        values[mask] += &t.coeff;
+    }
+    for i in 0..support.len() {
+        for block in values.chunks_mut(2 << i) {
+            let (unset, set) = block.split_at_mut(1 << i);
+            for (value, subset) in set.iter_mut().zip(unset.iter()) {
+                *value += subset;
+            }
+        }
+    }
+    values
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sbif_netlist::build::nonrestoring_divider;
     use sbif_netlist::{BinOp, Gate, Netlist, Sig};
+    use sbif_poly::{Monomial, Poly, Var};
+    use sbif_rng::XorShift64;
+
+    #[test]
+    fn residual_table_matches_pointwise_evaluation() {
+        let mut rng = XorShift64::seed_from_u64(0x7AB1E);
+        for case in 0..60u32 {
+            // Sparse variable indices, so table positions differ from
+            // variable indices.
+            let vars: Vec<Var> = (0..1 + case % 10).map(|i| Var(3 * i + 1)).collect();
+            let pick = |rng: &mut XorShift64| {
+                Monomial::from_vars(vars.iter().copied().filter(|_| rng.next_bool()))
+            };
+            let mut pairs = vec![
+                (Monomial::one(), Int::from(rng.next_i64())),
+                // Full degree, with a coefficient of three limbs.
+                (Monomial::from_vars(vars.iter().copied()), Int::pow2(130) - Int::from(1)),
+            ];
+            for _ in 0..rng.below(40) {
+                let m = pick(&mut rng);
+                let c = Int::from(rng.next_i64()).shl_pow2(rng.below(100) as u32);
+                // `c·m − c·m·x`: cancels wherever x is set, so the
+                // table holds zeros next to large values.
+                let x = vars[rng.range_usize(0, vars.len())];
+                pairs.push((m.mul(&Monomial::var(x)), -c.clone()));
+                pairs.push((m, c));
+            }
+            let residual = Poly::from_pairs(pairs);
+            let support = residual.support();
+            let values = residual_values(&residual, &support);
+            assert_eq!(values.len(), 1 << support.len());
+            for (bits, value) in values.iter().enumerate() {
+                let at = |v: Var| support.binary_search(&v).is_ok_and(|i| bits >> i & 1 == 1);
+                assert_eq!(*value, residual.eval(at), "case {case}, bits {bits:b}");
+            }
+        }
+    }
 
     #[test]
     fn small_dividers_verify_end_to_end() {
@@ -1023,6 +1082,9 @@ mod tests {
             .expect("small");
         match &report.vc1.outcome {
             Vc1Outcome::Refuted { dividend, divisor } => {
+                // The first C-satisfying assignment, in ascending order,
+                // on which the residual is non-zero.
+                assert_eq!((dividend, divisor), (&Int::zero(), &Int::one()));
                 // Replay through simulation.
                 let r0: u64 = u64::try_from(dividend).unwrap_or(0);
                 let dv: u64 = u64::try_from(divisor).unwrap_or(0);

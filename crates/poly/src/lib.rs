@@ -5,8 +5,8 @@
 //! with `k > 1` collapse to `v`, terms with equal monomials merge, and zero
 //! coefficients vanish — are **canonical** representations of such
 //! functions (Sect. II-A of the paper). This crate implements that normal
-//! form together with the ring operations and the variable substitutions
-//! `p[v ← q]` that drive backward rewriting.
+//! form together with the ring operations and the in-place variable
+//! substitutions `p[v ← q]` that drive backward rewriting.
 //!
 //! Polynomials are stored as term vectors sorted in a degree-lexicographic
 //! monomial order, which keeps the representation canonical *by
@@ -26,7 +26,9 @@
 //! let sum = Poly::xor(&Poly::xor(&Poly::from_var(a), &Poly::from_var(b)),
 //!                     &Poly::from_var(cin));
 //! let carry = Poly::majority3(a, b, cin);
-//! let result = sig.substitute(c, &carry).substitute(s, &sum);
+//! let mut result = sig;
+//! result.substitute(c, &carry);
+//! result.substitute(s, &sum);
 //! let spec = Poly::from_var(a) + Poly::from_var(b) + Poly::from_var(cin);
 //! assert_eq!(result, spec);
 //! ```

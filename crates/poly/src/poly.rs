@@ -160,32 +160,44 @@ impl Poly {
         self.coeff(&Monomial::one())
     }
 
-    /// Merge-add of two sorted term lists.
-    fn merge_add(a: &[Term], b: &[Term]) -> Vec<Term> {
+    /// Removes the terms that contain `v` and returns them with `v`
+    /// divided out. The kept terms stay in place and in order, and the
+    /// returned quotient is canonical without sorting: removing the same
+    /// variable from monomials that all contain it keeps their strict
+    /// order.
+    pub(crate) fn split_off_var(&mut self, v: Var) -> Poly {
+        let mut quotient = Vec::new();
+        self.terms.retain_mut(|t| match t.monomial.without(v) {
+            Some(monomial) => {
+                let coeff = std::mem::take(&mut t.coeff);
+                quotient.push(Term { monomial, coeff });
+                false
+            }
+            None => true,
+        });
+        Poly { terms: quotient }
+    }
+
+    /// Merge-add of two sorted term lists by move: no term is cloned.
+    fn merge_add(a: Vec<Term>, b: Vec<Term>) -> Vec<Term> {
         let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].monomial.cmp(&b[j].monomial) {
-                Ordering::Less => {
-                    out.push(a[i].clone());
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.push(b[j].clone());
-                    j += 1;
-                }
+        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            match x.monomial.cmp(&y.monomial) {
+                Ordering::Less => out.extend(a.next()),
+                Ordering::Greater => out.extend(b.next()),
                 Ordering::Equal => {
-                    let c = &a[i].coeff + &b[j].coeff;
-                    if !c.is_zero() {
-                        out.push(Term { monomial: a[i].monomial.clone(), coeff: c });
+                    if let (Some(mut t), Some(u)) = (a.next(), b.next()) {
+                        t.coeff += u.coeff;
+                        if !t.coeff.is_zero() {
+                            out.push(t);
+                        }
                     }
-                    i += 1;
-                    j += 1;
                 }
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        out.extend(a);
+        out.extend(b);
         out
     }
 
@@ -271,40 +283,49 @@ impl Poly {
 impl Add<&Poly> for &Poly {
     type Output = Poly;
     fn add(self, rhs: &Poly) -> Poly {
-        Poly { terms: Poly::merge_add(&self.terms, &rhs.terms) }
+        self.clone() + rhs.clone()
     }
 }
 
 impl Add<Poly> for Poly {
     type Output = Poly;
-    fn add(self, rhs: Poly) -> Poly {
-        &self + &rhs
+    fn add(mut self, rhs: Poly) -> Poly {
+        self += rhs;
+        self
     }
 }
 
 impl AddAssign<&Poly> for Poly {
     fn add_assign(&mut self, rhs: &Poly) {
-        self.terms = Poly::merge_add(&self.terms, &rhs.terms);
+        *self += rhs.clone();
+    }
+}
+
+impl AddAssign<Poly> for Poly {
+    fn add_assign(&mut self, rhs: Poly) {
+        if !rhs.is_zero() {
+            self.terms = Poly::merge_add(std::mem::take(&mut self.terms), rhs.terms);
+        }
     }
 }
 
 impl Sub<&Poly> for &Poly {
     type Output = Poly;
     fn sub(self, rhs: &Poly) -> Poly {
-        self + &(-rhs)
+        self.clone() + -rhs
     }
 }
 
 impl Sub<Poly> for Poly {
     type Output = Poly;
     fn sub(self, rhs: Poly) -> Poly {
-        &self - &rhs
+        self + -rhs
     }
 }
 
 impl SubAssign<&Poly> for Poly {
     fn sub_assign(&mut self, rhs: &Poly) {
-        *self = &*self - rhs;
+        *self += -rhs;
     }
 }
 
@@ -325,7 +346,7 @@ impl Neg for Poly {
     type Output = Poly;
     fn neg(mut self) -> Poly {
         for t in &mut self.terms {
-            t.coeff = -t.coeff.clone();
+            t.coeff = -std::mem::take(&mut t.coeff);
         }
         self
     }
@@ -345,7 +366,7 @@ impl Mul<&Poly> for &Poly {
         };
         let mut acc = Poly::zero();
         for t in &small.terms {
-            acc += &big.mul_term(&t.monomial, &t.coeff);
+            acc += big.mul_term(&t.monomial, &t.coeff);
         }
         acc
     }

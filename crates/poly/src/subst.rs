@@ -1,14 +1,20 @@
 //! Variable substitution — the engine step of backward rewriting.
 
-use crate::{Monomial, Poly, Var};
-use sbif_apint::Int;
+use crate::{Poly, Var};
 
 impl Poly {
-    /// Substitute polynomial `p` for variable `v`: `self[v ← p]`.
+    /// Substitute polynomial `p` for variable `v` in place:
+    /// `self ← self[v ← p]`.
     ///
     /// This is the single step of backward rewriting: replacing a gate
     /// output variable by the gate polynomial over its inputs. The result
     /// is renormalized (powers collapse, terms merge, zeros vanish).
+    ///
+    /// A step costs what it changes. The terms without `v` stay where
+    /// they are, in order: a subsequence of a sorted list is sorted. The
+    /// terms with `v` leave with `v` divided out, as the *quotient*, which
+    /// is sorted too. Only the products `quotient · p` are built and
+    /// sorted, and they are merged into the kept terms by move.
     ///
     /// # Examples
     ///
@@ -16,32 +22,20 @@ impl Poly {
     /// use sbif_poly::{Poly, Var};
     ///
     /// // (2c + s)[c ← ab] = 2ab + s
-    /// let sig = Poly::from_var(Var(0)).shl(1) + Poly::from_var(Var(1));
+    /// let mut sig = Poly::from_var(Var(0)).shl(1) + Poly::from_var(Var(1));
     /// let ab = Poly::and(&Poly::from_var(Var(2)), &Poly::from_var(Var(3)));
-    /// let out = sig.substitute(Var(0), &ab);
-    /// assert_eq!(out.num_terms(), 2);
+    /// sig.substitute(Var(0), &ab);
+    /// assert_eq!(sig.num_terms(), 2);
     /// ```
-    pub fn substitute(&self, v: Var, p: &Poly) -> Poly {
-        // Split terms into those containing v (with v removed — the
-        // "quotient") and the rest.
-        let mut quotient: Vec<(Monomial, Int)> = Vec::new();
-        let mut rest: Vec<(Monomial, Int)> = Vec::new();
-        for t in self.terms() {
-            match t.monomial.without(v) {
-                Some(m) => quotient.push((m, t.coeff.clone())),
-                None => rest.push((t.monomial.clone(), t.coeff.clone())),
-            }
+    pub fn substitute(&mut self, v: Var, p: &Poly) {
+        let quotient = self.split_off_var(v);
+        if !quotient.is_zero() {
+            *self += &quotient * p;
         }
-        if quotient.is_empty() {
-            return self.clone();
-        }
-        let quotient = Poly::from_pairs(quotient);
-        let rest = Poly::from_pairs(rest);
-        &rest + &(&quotient * p)
     }
 
-    /// Substitute a variable by another variable with polarity:
-    /// `v ← w` if `same_polarity`, else `v ← (1 − w)`.
+    /// Substitute a variable by another variable with polarity, in
+    /// place: `v ← w` if `same_polarity`, else `v ← (1 − w)`.
     ///
     /// This is the representative replacement of SBIF (Alg. 2, lines 2–4
     /// and 6–8): all signals of an equivalence class are collapsed onto
@@ -54,53 +48,61 @@ impl Poly {
     /// use sbif_poly::{Poly, Var};
     ///
     /// // the paper's Example 1: a1 + b1 − 2·a1·b1 with b1 = ¬a1 becomes 1
-    /// let p = Poly::xor(&Poly::from_var(Var(0)), &Poly::from_var(Var(1)));
-    /// assert_eq!(p.substitute_representative(Var(1), Var(0), false), Poly::one());
+    /// let mut p = Poly::xor(&Poly::from_var(Var(0)), &Poly::from_var(Var(1)));
+    /// p.substitute_representative(Var(1), Var(0), false);
+    /// assert_eq!(p, Poly::one());
     /// ```
-    pub fn substitute_representative(&self, v: Var, rep: Var, same_polarity: bool) -> Poly {
+    pub fn substitute_representative(&mut self, v: Var, rep: Var, same_polarity: bool) {
         if v == rep {
-            return self.clone();
+            return;
         }
-        if same_polarity {
-            // Fast path: rename inside the monomials, then renormalize.
-            if !self.contains_var(v) {
-                return self.clone();
-            }
-            return Poly::from_pairs(
-                self.terms()
-                    .iter()
-                    .map(|t| (t.monomial.rename(v, rep), t.coeff.clone())),
-            );
-        }
-        let negated = &Poly::one() - &Poly::from_var(rep);
-        self.substitute(v, &negated)
+        let rep = Poly::from_var(rep);
+        let image = if same_polarity { rep } else { rep.complement() };
+        self.substitute(v, &image);
     }
 
-    /// Substitute a constant for a variable.
-    pub fn substitute_const(&self, v: Var, value: bool) -> Poly {
-        self.substitute(v, &if value { Poly::one() } else { Poly::zero() })
+    /// Substitute a constant for a variable, in place.
+    pub fn substitute_const(&mut self, v: Var, value: bool) {
+        self.substitute(v, &Poly::constant(value));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbif_apint::Int;
 
     fn pv(i: u32) -> Poly {
         Poly::from_var(Var(i))
     }
 
+    /// `p[v ← q]` as a value, for chaining steps in the checks below.
+    fn subst(mut p: Poly, v: Var, q: &Poly) -> Poly {
+        p.substitute(v, q);
+        p
+    }
+
+    fn subst_rep(mut p: Poly, v: Var, rep: Var, same_polarity: bool) -> Poly {
+        p.substitute_representative(v, rep, same_polarity);
+        p
+    }
+
+    fn subst_const(mut p: Poly, v: Var, value: bool) -> Poly {
+        p.substitute_const(v, value);
+        p
+    }
+
     #[test]
     fn substitute_absent_var_is_identity() {
         let p = &pv(0) + &pv(1);
-        assert_eq!(p.substitute(Var(9), &pv(2)), p);
+        assert_eq!(subst(p.clone(), Var(9), &pv(2)), p);
     }
 
     #[test]
     fn substitute_constant_values() {
         let p = Poly::or(&pv(0), &pv(1)); // a + b - ab
-        assert_eq!(p.substitute_const(Var(0), true), Poly::one());
-        assert_eq!(p.substitute_const(Var(0), false), pv(1));
+        assert_eq!(subst_const(p.clone(), Var(0), true), Poly::one());
+        assert_eq!(subst_const(p, Var(0), false), pv(1));
     }
 
     #[test]
@@ -110,11 +112,11 @@ mod tests {
         //   s0=6 (h1⊕c), c0=7 (h2∨h3).
         let sig = &pv(7).shl(1) + &pv(6);
         // reverse topological order: c0, s0, h3, h2, h1
-        let after_c0 = sig.substitute(Var(7), &Poly::or(&pv(4), &pv(5)));
-        let after_s0 = after_c0.substitute(Var(6), &Poly::xor(&pv(3), &pv(2)));
-        let after_h3 = after_s0.substitute(Var(5), &Poly::and(&pv(3), &pv(2)));
-        let after_h2 = after_h3.substitute(Var(4), &Poly::and(&pv(0), &pv(1)));
-        let after_h1 = after_h2.substitute(Var(3), &Poly::xor(&pv(0), &pv(1)));
+        let after_c0 = subst(sig, Var(7), &Poly::or(&pv(4), &pv(5)));
+        let after_s0 = subst(after_c0, Var(6), &Poly::xor(&pv(3), &pv(2)));
+        let after_h3 = subst(after_s0, Var(5), &Poly::and(&pv(3), &pv(2)));
+        let after_h2 = subst(after_h3, Var(4), &Poly::and(&pv(0), &pv(1)));
+        let after_h1 = subst(after_h2, Var(3), &Poly::xor(&pv(0), &pv(1)));
         // Input signature: a0 + b0 + c.
         let spec = &(&pv(0) + &pv(1)) + &pv(2);
         assert_eq!(after_h1, spec);
@@ -123,20 +125,19 @@ mod tests {
     #[test]
     fn specification_polynomial_reduces_to_zero() {
         // Same as above but starting from 2c0 + s0 - a0 - b0 - c.
-        let sig = &(&pv(7).shl(1) + &pv(6)) - &(&(&pv(0) + &pv(1)) + &pv(2));
-        let result = sig
-            .substitute(Var(7), &Poly::or(&pv(4), &pv(5)))
-            .substitute(Var(6), &Poly::xor(&pv(3), &pv(2)))
-            .substitute(Var(5), &Poly::and(&pv(3), &pv(2)))
-            .substitute(Var(4), &Poly::and(&pv(0), &pv(1)))
-            .substitute(Var(3), &Poly::xor(&pv(0), &pv(1)));
-        assert!(result.is_zero());
+        let mut sig = &(&pv(7).shl(1) + &pv(6)) - &(&(&pv(0) + &pv(1)) + &pv(2));
+        sig.substitute(Var(7), &Poly::or(&pv(4), &pv(5)));
+        sig.substitute(Var(6), &Poly::xor(&pv(3), &pv(2)));
+        sig.substitute(Var(5), &Poly::and(&pv(3), &pv(2)));
+        sig.substitute(Var(4), &Poly::and(&pv(0), &pv(1)));
+        sig.substitute(Var(3), &Poly::xor(&pv(0), &pv(1)));
+        assert!(sig.is_zero());
     }
 
     #[test]
     fn representative_substitution_same_polarity() {
         let p = &(&pv(0) * &pv(1)) + &pv(1);
-        let q = p.substitute_representative(Var(1), Var(0), true);
+        let q = subst_rep(p, Var(1), Var(0), true);
         // ab + b with b ← a gives a·a + a = 2a
         assert_eq!(q, pv(0).scale(&Int::from(2)));
     }
@@ -146,10 +147,10 @@ mod tests {
         // Example 1 of the paper: XOR gate polynomial a + b − 2ab with
         // b = ¬a simplifies to the constant 1.
         let p = Poly::xor(&pv(0), &pv(1));
-        assert_eq!(p.substitute_representative(Var(1), Var(0), false), Poly::one());
+        assert_eq!(subst_rep(p, Var(1), Var(0), false), Poly::one());
         // And an AND gate a·b with b = ¬a vanishes.
         let q = Poly::and(&pv(0), &pv(1));
-        assert!(q.substitute_representative(Var(1), Var(0), false).is_zero());
+        assert!(subst_rep(q, Var(1), Var(0), false).is_zero());
     }
 
     #[test]
@@ -158,23 +159,15 @@ mod tests {
         let p = &(&pv(0) * &pv(1)) + &pv(2).scale(&Int::from(3));
         let q = &pv(1) - &Poly::one();
         let r = Poly::xor(&pv(3), &pv(4));
-        assert_eq!(
-            (&p + &q).substitute(Var(1), &r),
-            &p.substitute(Var(1), &r) + &q.substitute(Var(1), &r)
-        );
-        assert_eq!(
-            (&p * &q).substitute(Var(1), &r),
-            &p.substitute(Var(1), &r) * &q.substitute(Var(1), &r)
-        );
+        let (ps, qs) = (subst(p.clone(), Var(1), &r), subst(q.clone(), Var(1), &r));
+        assert_eq!(subst(&p + &q, Var(1), &r), &ps + &qs);
+        assert_eq!(subst(&p * &q, Var(1), &r), &ps * &qs);
     }
 
     #[test]
     fn rename_collision_merges_terms() {
         // 3ab + 5a with b ← a gives 8a.
         let p = &(&pv(0) * &pv(1)).scale(&Int::from(3)) + &pv(0).scale(&Int::from(5));
-        assert_eq!(
-            p.substitute_representative(Var(1), Var(0), true),
-            pv(0).scale(&Int::from(8))
-        );
+        assert_eq!(subst_rep(p, Var(1), Var(0), true), pv(0).scale(&Int::from(8)));
     }
 }

@@ -57,7 +57,8 @@ fn overflow_term_vanishes_with_opposite_signs() {
     let n = 3usize;
     let p = adder_overflow_poly(n);
     let (a_vars, b_vars, _) = sbif::core::spec::adder_vars(n);
-    let collapsed = p.substitute_representative(b_vars[n], a_vars[n], false);
+    let mut collapsed = p;
+    collapsed.substitute_representative(b_vars[n], a_vars[n], false);
     assert!(collapsed.is_zero(), "P_n[b_n ← ¬a_n] = {collapsed}");
 }
 

@@ -33,6 +33,16 @@ fn gen_poly(rng: &mut XorShift64) -> Poly {
     }))
 }
 
+/// `p` without its terms that contain `v`.
+fn without_var(p: &Poly, v: Var) -> Poly {
+    Poly::from_pairs(
+        p.terms()
+            .iter()
+            .filter(|t| !t.monomial.contains(v))
+            .map(|t| (t.monomial.clone(), t.coeff.clone())),
+    )
+}
+
 /// Evaluate on the assignment encoded by the low 6 bits of `bits`.
 fn eval6(p: &Poly, bits: u8) -> Int {
     p.eval(|v| (bits >> v.0) & 1 == 1)
@@ -166,7 +176,8 @@ fn poly_substitution_is_evaluation() {
             if qv != Int::zero() && qv != Int::one() {
                 return true; // vacuous: q is not 0/1-valued here
             }
-            let subst = p.substitute(v, &q);
+            let mut subst = p.clone();
+            subst.substitute(v, &q);
             let direct = p.eval(|x| {
                 if x == v {
                     qv == Int::one()
@@ -175,6 +186,48 @@ fn poly_substitution_is_evaluation() {
                 }
             });
             eval6(&subst, bits) == direct
+        }
+    );
+}
+
+#[test]
+fn poly_substitution_is_the_ring_identity() {
+    // The in-place kernel against `p[v ← q] = rest + quotient·q`, built
+    // from `from_pairs`, `+` and `*`: `quotient` holds p's terms with v,
+    // v divided out, and `rest` the others.
+    prop_check!(
+        256,
+        |rng: &mut XorShift64| {
+            let v = Var(rng.below(6) as u32);
+            let (p, q) = match rng.below(5) {
+                0 => (without_var(&gen_poly(rng), v), gen_poly(rng)),
+                1 => (gen_poly(rng), &without_var(&gen_poly(rng), v) + &Poly::from_var(v)),
+                2 => (gen_poly(rng), Poly::zero()),
+                3 => (gen_poly(rng), Poly::constant(rng.below(17) as i64 - 8)),
+                _ => {
+                    // p = v·quotient + extra − quotient·q: the products
+                    // cancel the last part, leaving `extra`.
+                    let quotient = without_var(&gen_poly(rng), v);
+                    let q = without_var(&gen_poly(rng), v);
+                    let extra = gen_poly(rng);
+                    let p = &(&(&Poly::from_var(v) * &quotient) + &extra) - &(&quotient * &q);
+                    (p, q)
+                }
+            };
+            (p, q, v)
+        },
+        |(p, q, v): (Poly, Poly, Var)| {
+            let quotient = Poly::from_pairs(
+                p.terms()
+                    .iter()
+                    .filter_map(|t| t.monomial.without(v).map(|m| (m, t.coeff.clone()))),
+            );
+            let expect = &without_var(&p, v) + &(&quotient * &q);
+            let mut got = p;
+            got.substitute(v, &q);
+            got == expect
+                && got.terms().windows(2).all(|w| w[0].monomial < w[1].monomial)
+                && got.terms().iter().all(|t| !t.coeff.is_zero())
         }
     );
 }

@@ -13,7 +13,7 @@
 //! [`MetricsReport`]: sbif::trace::MetricsReport
 
 use sbif::core::verify::{DividerVerifier, VerifierConfig};
-use sbif::netlist::build::{nonrestoring_divider, srt_divider, Divider};
+use sbif::netlist::build::{array_divider, nonrestoring_divider, srt_divider, Divider};
 use sbif::trace::Recorder;
 use std::path::PathBuf;
 
@@ -92,6 +92,21 @@ fn srt_n3_matches_golden() {
 #[test]
 fn srt_n4_matches_golden() {
     check_scenario("srt_n4", &srt_divider(4), false);
+}
+
+// The array divider is the one architecture whose final polynomial is
+// non-zero: vc1 holds only modulo C, so these two scenarios pin the
+// residual decision (its SAT calls, and with --certify their DRAT
+// checks) next to the rewriting counters.
+
+#[test]
+fn array_n4_matches_golden() {
+    check_scenario("array_n4", &array_divider(4), false);
+}
+
+#[test]
+fn array_n4_certified_matches_golden() {
+    check_scenario("array_n4_certify", &array_divider(4), true);
 }
 
 #[test]
