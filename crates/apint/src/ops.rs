@@ -214,9 +214,7 @@ impl SubAssign<Int> for Int {
 
 impl MulAssign<&Int> for Int {
     fn mul_assign(&mut self, rhs: &Int) {
-        let mag = mul_mag(&self.mag, &rhs.mag);
-        let neg = self.neg != rhs.neg;
-        *self = Int::from_parts(neg, mag);
+        *self = &*self * rhs;
     }
 }
 
@@ -263,7 +261,24 @@ macro_rules! forward_binop {
 
 forward_binop!(Add, add, add_assign);
 forward_binop!(Sub, sub, sub_assign);
-forward_binop!(Mul, mul, mul_assign);
+
+/// `*` for every operand form. A product is always a fresh magnitude, so
+/// neither operand is cloned first.
+macro_rules! mul_impl {
+    ($lhs:ty, $rhs:ty) => {
+        impl Mul<$rhs> for $lhs {
+            type Output = Int;
+            fn mul(self, rhs: $rhs) -> Int {
+                Int::from_parts(self.neg != rhs.neg, mul_mag(&self.mag, &rhs.mag))
+            }
+        }
+    };
+}
+
+mul_impl!(&Int, &Int);
+mul_impl!(Int, Int);
+mul_impl!(Int, &Int);
+mul_impl!(&Int, Int);
 
 impl Shl<u32> for &Int {
     type Output = Int;

@@ -36,8 +36,8 @@ use std::ops::Range;
 /// `p % LANES`, and each lane owns one shared incremental solver per
 /// batch. A constant (not `jobs`) so every lane's check sequence — and
 /// with it every speculative verdict and solver counter — is identical
-/// for any worker count; `jobs` only sets how many OS threads drain the
-/// lanes.
+/// for any worker count; `jobs` only sets over how many workers the
+/// lanes are spread (lane `l` on worker `l % min(jobs, LANES)`).
 pub const LANES: usize = 8;
 
 /// Minimum signals per dispatch batch of the SBIF scan: consecutive
@@ -48,9 +48,8 @@ pub const LANES: usize = 8;
 /// stop being jobs-invariant.
 pub const BATCH_SIGNALS: usize = 128;
 
-/// The fixed dispatch geometry of one SBIF run: level-major scan order,
-/// level-aligned batch partition, and wave grouping. See the
-/// [module docs](self).
+/// The fixed dispatch geometry of one SBIF run: level-major scan order
+/// and level-aligned batch partition. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct LevelSchedule {
     /// Topological level per signal (index-addressed).

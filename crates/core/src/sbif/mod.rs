@@ -50,10 +50,12 @@ pub struct SbifConfig {
     /// Maximal window depth `d_max` (the paper reports depth 4 suffices
     /// for the key antivalences).
     pub window_depth: usize,
-    /// Worker threads for the window checks. `1` runs fully in-process;
-    /// any value produces bit-identical classes (see [`parallel`]'s
-    /// module documentation — checks are speculated on worker threads
-    /// and committed in the sequential order).
+    /// Workers for the window checks. A pass keeps `min(jobs, LANES) − 1`
+    /// helper threads beside the calling thread for its whole length
+    /// (see [`levels::LANES`]); `1` runs on the calling thread alone.
+    /// Lane `l` of every level runs on worker `l % workers`, and the
+    /// commit stays sequential, so any value produces bit-identical
+    /// classes and statistics (DESIGN.md §7).
     pub jobs: usize,
     /// Number of window counterexamples buffered before a refinement
     /// flush at the next level boundary: the first 64 of them are

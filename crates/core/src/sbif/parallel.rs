@@ -82,15 +82,47 @@
 //! The commit never re-runs a check the dispatch made, so no statistic
 //! depends on that difference.
 //!
-//! Determinism: the scan order, the lane assignment (`pos % LANES`),
-//! the batch partition, and the commit order depend only on the
-//! netlist, the simulation words, and the configuration — never on `jobs`,
-//! which only sets how many OS threads drain a level's lanes. Even the
-//! single-worker run executes the identical lane schedule. Classes,
-//! metrics, and every solver counter are therefore byte-identical for
-//! any worker count; lane solver effort is attributed **per batch** (at
-//! the batch's end, in lane order), fresh commit-side checks per check,
-//! which keeps governed conflict budgets deterministic too.
+//! # The worker pool
+//!
+//! A pass opens one [`std::thread::scope`] and spawns
+//! `min(jobs, LANES) − 1` helper threads once; the coordinator's thread
+//! is worker 0. Lane `l` runs on worker `l % workers`, a fixed map, so a
+//! lane's solver stays on one thread and nothing is claimed at run time.
+//! The coordinator holds two channels per helper: one carries the
+//! level runs of scan positions it hands over, the other the helper's
+//! reports that a run is scanned. For each level it sends the run to
+//! every helper that owns a busy lane, scans its own lanes, and receives
+//! one report from each of those helpers. All workers read the
+//! committed [`ScanState`] under a shared lock and write their outcomes
+//! into their lanes' reused buffers; the coordinator then merges the
+//! buffers in lane order and commits the level alone. A level whose busy
+//! lanes all map to worker 0 wakes nobody, and `jobs = 1` spawns no
+//! thread. An idle worker polls its channel for up to [`SPIN`] before it
+//! blocks, and only while the workers of every pass running in the
+//! process fit on the CPUs ([`Live`]); workers that outnumber them block
+//! at once.
+//!
+//! A panic on either side ends the pass in a panic, never in a hang.
+//! Each side sees the other leave as a disconnected channel. A helper
+//! that unwinds drops its report sender, so the coordinator's receive
+//! fails and it panics. A coordinator that unwinds drops its run
+//! senders, so every helper's receive fails and the helper returns; the
+//! scope joins them and the panic leaves [`super::forward_information`]
+//! for the caller's `catch_unwind` (`sbif-serve` isolates each job that
+//! way).
+//!
+//! # Determinism
+//!
+//! The scan order, the lane assignment (`pos % LANES`), the batch
+//! partition, and the commit order depend only on the netlist, the
+//! simulation words, and the configuration — never on `jobs`, which only
+//! sets over how many workers a level's lanes are spread. Each lane runs
+//! the same checks in the same order on its own solver for any worker
+//! count, the single-worker run included. Classes, metrics, and every
+//! solver counter are therefore byte-identical for any worker count;
+//! lane solver effort is attributed **per batch** (at the batch's end,
+//! in lane order), fresh commit-side checks per check, which keeps
+//! governed conflict budgets deterministic too.
 
 use super::levels::{LevelSchedule, BATCH_SIGNALS, LANES};
 use super::{
@@ -101,9 +133,11 @@ use sbif_govern::{Exhausted, Resource};
 use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{SolveResult, SolverStats};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::mpsc::{self, Receiver, RecvError, Sender, TryRecvError};
+use std::sync::{Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// The candidate buckets: signals grouped by their polarity-normalized
 /// simulation signature (complemented when the first simulated bit is
@@ -219,7 +253,7 @@ fn scan_candidates(
 }
 
 /// One speculation lane: a shared window solver plus this lane's
-/// running counters for the current batch.
+/// running counters for the current batch, and its outcome buffer.
 struct Lane<'nl> {
     batch: WindowBatch<'nl>,
     /// Per-window solver totals under `certify` (which cannot share a
@@ -230,6 +264,9 @@ struct Lane<'nl> {
     spec_attempts: usize,
     /// Wall-clock spent in checks (lane-side, not deterministic).
     sat_micros: u128,
+    /// The current level's speculative outcomes, drained by the
+    /// coordinator's merge; the allocation is reused for the next level.
+    out: Vec<(PairKey, WindowOutcome)>,
 }
 
 impl<'nl> Lane<'nl> {
@@ -240,6 +277,7 @@ impl<'nl> Lane<'nl> {
             certify_checks: 0,
             spec_attempts: 0,
             sat_micros: 0,
+            out: Vec::new(),
         }
     }
 
@@ -247,20 +285,10 @@ impl<'nl> Lane<'nl> {
     /// committed level-boundary state, recording every outcome. The
     /// outcomes' per-check solver deltas are not used: lane solver
     /// effort is attributed per batch.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_signal(
-        &mut self,
-        nl: &Netlist,
-        constraint: Option<Sig>,
-        cfg: &SbifConfig,
-        prefilter: Option<&SbifPrefilter>,
-        classes: &EquivClasses,
-        buckets: &Buckets,
-        pos: &[usize],
-        a: Sig,
-        out: &mut Vec<(PairKey, WindowOutcome)>,
-    ) {
-        scan_candidates(classes, buckets, pos, a, |b, eps| {
+    fn scan_signal(&mut self, pass: &Pass<'_>, state: &ScanState, a: Sig) {
+        let Pass { nl, constraint, cfg, prefilter, .. } = *pass;
+        let classes = &state.classes;
+        scan_candidates(classes, &state.buckets, pass.sched.pos(), a, |b, eps| {
             let t0 = Instant::now();
             let outcome =
                 match prefilter.and_then(|pf| pf.try_decide(nl, classes, a, b, eps, cfg.certify))
@@ -281,9 +309,23 @@ impl<'nl> Lane<'nl> {
             // not merge, so the scan continues past it.
             let proven = outcome.result == SolveResult::Unsat
                 && outcome.cert.as_ref().is_none_or(|c| c.accepted);
-            out.push(((a.0, b.0, eps), outcome));
+            self.out.push(((a.0, b.0, eps), outcome));
             proven
         });
+    }
+
+    /// Adds this lane's batch totals to `stats` and starts the next
+    /// batch on a fresh solver, keeping the outcome buffer.
+    fn close_batch(&mut self, pass: &Pass<'nl>, stats: &mut SbifStats) {
+        let mut total = self.batch.stats();
+        total.absorb(self.certify_total);
+        stats.solver.absorb(total);
+        stats.solver_inits += self.batch.solver_inits();
+        stats.batch_checks += self.batch.checks() + self.certify_checks;
+        stats.spec_attempts += self.spec_attempts;
+        stats.sat_micros += self.sat_micros;
+        let out = std::mem::take(&mut self.out);
+        *self = Lane { out, ..Lane::new(pass.nl, pass.constraint, pass.cfg) };
     }
 }
 
@@ -343,85 +385,175 @@ impl ScanState {
 /// outcomes.
 type PairKey = (u32, u32, bool);
 
-/// Runs the speculation phase of one level: every signal's candidate
-/// scan on its assigned lane, on `jobs` OS threads when more than one
-/// lane has work. Returns the merged outcome map (merge order is lane
-/// order — deterministic, and keys are unique since each scan owns its
-/// root signal).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_level(
-    nl: &Netlist,
+/// The scan positions of `run` that lane `lane` scans
+/// (`p % LANES == lane`), ascending.
+fn lane_positions(lane: usize, run: &Range<usize>) -> impl Iterator<Item = usize> {
+    let first = run.start + (lane + LANES - run.start % LANES) % LANES;
+    (first..run.end).step_by(LANES)
+}
+
+/// What every worker of one pass reads: the inputs, the schedule, the
+/// lanes, and the committed scan state.
+struct Pass<'a> {
+    nl: &'a Netlist,
     constraint: Option<Sig>,
-    cfg: &SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
-    sched: &LevelSchedule,
-    state: &ScanState,
-    run: std::ops::Range<usize>,
-    lanes: &[Mutex<Lane<'_>>],
-    jobs: usize,
-) -> HashMap<PairKey, WindowOutcome> {
-    // Lane assignment by global scan position: deterministic, and
-    // spreads work evenly across lane solvers.
-    let mine = |lane: usize| run.clone().filter(move |p| p % LANES == lane);
-    let busy = (0..LANES).filter(|&l| mine(l).next().is_some()).count();
-    let scan_lane = |lane: usize, out: &mut Vec<(PairKey, WindowOutcome)>| {
-        let mut guard = lanes[lane].lock().expect("lane poisoned");
-        for p in mine(lane) {
-            guard.scan_signal(
-                nl,
-                constraint,
-                cfg,
-                prefilter,
-                &state.classes,
-                &state.buckets,
-                sched.pos(),
-                sched.order()[p],
-                out,
-            );
-        }
-    };
-    let mut per_lane: Vec<Vec<(PairKey, WindowOutcome)>> = (0..LANES).map(|_| Vec::new()).collect();
-    if jobs <= 1 || busy <= 1 {
-        for (lane, out) in per_lane.iter_mut().enumerate() {
-            scan_lane(lane, out);
-        }
-    } else {
-        let slots: Vec<Mutex<&mut Vec<(PairKey, WindowOutcome)>>> =
-            per_lane.iter_mut().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(busy) {
-                scope.spawn(|| loop {
-                    let lane = next.fetch_add(1, Ordering::Relaxed);
-                    if lane >= LANES {
-                        return;
-                    }
-                    let mut out = slots[lane].lock().expect("slot poisoned");
-                    scan_lane(lane, &mut out);
-                });
-            }
-        });
+    cfg: &'a SbifConfig,
+    prefilter: Option<&'a SbifPrefilter>,
+    sched: LevelSchedule,
+    /// Worker threads, the coordinator included: `min(jobs, LANES)`.
+    workers: usize,
+    /// This pass's workers, counted for the whole pass.
+    live: Live,
+    /// Lane `l` is only locked by worker `l % workers` while a level is
+    /// dispatched and by the coordinator between dispatches, so no lock
+    /// is ever contended.
+    lanes: Vec<Mutex<Lane<'a>>>,
+    /// Read by every worker while a level is dispatched; written only by
+    /// the coordinator, after every helper has reported done.
+    state: RwLock<ScanState>,
+    /// Where this pass panics on purpose (test builds only).
+    #[cfg(test)]
+    fault: Option<tests::Fault>,
+}
+
+impl Pass<'_> {
+    /// Whether some lane of `worker` holds a position of `run`.
+    fn has_work(&self, worker: usize, run: &Range<usize>) -> bool {
+        (worker..LANES).step_by(self.workers).any(|l| lane_positions(l, run).next().is_some())
     }
-    per_lane.into_iter().flatten().collect()
+
+    /// Scans `worker`'s lanes over the positions of `run`, each lane's
+    /// signals in scan order, into the lanes' outcome buffers.
+    fn scan_lanes(&self, worker: usize, run: &Range<usize>, state: &ScanState) {
+        for lane in (worker..LANES).step_by(self.workers) {
+            let mut positions = lane_positions(lane, run).peekable();
+            if positions.peek().is_none() {
+                continue;
+            }
+            let mut lane = self.lanes[lane].lock().expect("lane poisoned");
+            for p in positions {
+                lane.scan_signal(self, state, self.sched.order()[p]);
+            }
+        }
+    }
+}
+
+/// How long an idle worker polls for its next message before it blocks,
+/// while the live workers fit on the CPUs (see [`Live`]). Blocking costs
+/// a wake-up on both sides of a hand-off, and a two-lane level holds
+/// only a few hundred microseconds of checks.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// Workers of every SBIF pass running in this process, coordinators
+/// included. `sbif-serve` runs jobs side by side, each with a pass of
+/// its own, so whether an idle worker may poll depends on all of them.
+static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// One pass's share of [`LIVE_WORKERS`], held for the whole pass.
+struct Live {
+    workers: usize,
+    cpus: usize,
+}
+
+impl Live {
+    fn join(workers: usize) -> Self {
+        LIVE_WORKERS.fetch_add(workers, Ordering::Relaxed);
+        Live { workers, cpus: std::thread::available_parallelism().map_or(1, |n| n.get()) }
+    }
+
+    /// Receives the next message from `rx`, polling for up to [`SPIN`]
+    /// first while the live workers fit on the CPUs; workers that
+    /// outnumber the CPUs block at once. `Err` once the sender is gone.
+    fn recv<T>(&self, rx: &Receiver<T>) -> Result<T, RecvError> {
+        if LIVE_WORKERS.load(Ordering::Relaxed) <= self.cpus {
+            let start = Instant::now();
+            while start.elapsed() < SPIN {
+                match rx.try_recv() {
+                    Ok(msg) => return Ok(msg),
+                    Err(TryRecvError::Disconnected) => return Err(RecvError),
+                    Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                }
+            }
+        }
+        rx.recv()
+    }
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        LIVE_WORKERS.fetch_sub(self.workers, Ordering::Relaxed);
+    }
+}
+
+/// The coordinator's ends of one helper's channels: the level runs it
+/// hands over, and the helper's reports that a run is scanned. Either
+/// side sees the other leave, by return or by unwinding, as a
+/// disconnected channel.
+struct Helper {
+    runs: Sender<Range<usize>>,
+    done: Receiver<()>,
+}
+
+/// The coordinator's panic when a helper's channel is disconnected.
+const HELPER_DIED: &str = "an SBIF helper thread panicked";
+
+/// The coordinator's side of one level's speculation: hands `run` to
+/// every helper with a busy lane, scans worker 0's lanes, waits for the
+/// helpers, and merges the lanes' outcomes into `spec` in lane order
+/// (keys are unique: each scan owns its root signal). Panics if a helper
+/// died.
+fn dispatch(
+    pass: &Pass<'_>,
+    helpers: &[Helper],
+    run: &Range<usize>,
+    spec: &mut HashMap<PairKey, WindowOutcome>,
+) {
+    {
+        let state = pass.state.read().expect("scan state poisoned");
+        let busy = || (1..pass.workers).filter(|&w| pass.has_work(w, run));
+        for w in busy() {
+            helpers[w - 1].runs.send(run.clone()).expect(HELPER_DIED);
+        }
+        pass.scan_lanes(0, run, &state);
+        for w in busy() {
+            pass.live.recv(&helpers[w - 1].done).expect(HELPER_DIED);
+        }
+    }
+    spec.clear();
+    for lane in (0..LANES).filter(|&l| lane_positions(l, run).next().is_some()) {
+        spec.extend(pass.lanes[lane].lock().expect("lane poisoned").out.drain(..));
+    }
+}
+
+/// A helper's life: scan `worker`'s lanes over each level run the
+/// coordinator hands over and report done, until the coordinator drops
+/// its end of `runs`.
+fn serve(pass: &Pass<'_>, worker: usize, runs: &Receiver<Range<usize>>, done: &Sender<()>) {
+    while let Ok(run) = pass.live.recv(runs) {
+        #[cfg(test)]
+        if pass.fault == Some(tests::Fault::HelperScan) {
+            panic!("injected fault in the lane scan of worker {worker}");
+        }
+        pass.scan_lanes(worker, &run, &pass.state.read().expect("scan state poisoned"));
+        if done.send(()).is_err() {
+            return;
+        }
+    }
 }
 
 /// Commits one signal: the sequential candidate scan of Alg. 1, served
 /// from the level's speculative outcomes (taken out of `spec` as they
 /// are used).
-#[allow(clippy::too_many_arguments)]
 fn commit_signal(
-    nl: &Netlist,
-    constraint: Option<Sig>,
-    cfg: &SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
+    pass: &Pass<'_>,
     a: Sig,
-    pos: &[usize],
     state: &mut ScanState,
     stats: &mut SbifStats,
     spec: &mut HashMap<PairKey, WindowOutcome>,
 ) {
+    let Pass { nl, constraint, cfg, prefilter, .. } = *pass;
     let ScanState { classes, buckets, pending } = state;
-    let merge = scan_candidates(classes, buckets, pos, a, |b, eps| {
+    let merge = scan_candidates(classes, buckets, pass.sched.pos(), a, |b, eps| {
         stats.candidates += 1;
         let o = match spec.remove(&(a.0, b.0, eps)) {
             Some(o) => {
@@ -482,9 +614,9 @@ fn commit_signal(
     }
 }
 
-/// Runs the candidate detection and window checking with `cfg.jobs`
-/// worker threads; `words[w][s]` is signal `s`'s value in initial
-/// simulation word `w`. The level/lane/batch structure — and
+/// Runs the candidate detection and window checking on a pool of
+/// `min(cfg.jobs, LANES)` workers; `words[w][s]` is signal `s`'s value
+/// in initial simulation word `w`. The level/lane/batch structure — and
 /// with it the resulting classes and *every* statistic except
 /// wall-clock — is identical for every `jobs` value (see the module
 /// docs).
@@ -495,11 +627,48 @@ pub(super) fn run(
     cfg: &SbifConfig,
     hooks: &SbifHooks,
 ) -> (EquivClasses, SbifStats) {
-    let jobs = cfg.jobs.max(1);
-    let prefilter = hooks.prefilter.as_ref();
     let sched = LevelSchedule::new(nl, BATCH_SIGNALS);
-    let mut stats = SbifStats { levels: sched.num_levels(), ..SbifStats::default() };
-    let mut state = ScanState::new(words, sched.order());
+    let state = RwLock::new(ScanState::new(words, sched.order()));
+    let workers = cfg.jobs.clamp(1, LANES);
+    let pass = Pass {
+        nl,
+        constraint,
+        cfg,
+        prefilter: hooks.prefilter.as_ref(),
+        sched,
+        workers,
+        live: Live::join(workers),
+        lanes: (0..LANES).map(|_| Mutex::new(Lane::new(nl, constraint, cfg))).collect(),
+        state,
+        #[cfg(test)]
+        fault: tests::FAULT.get(),
+    };
+    let stats = std::thread::scope(|scope| {
+        let pass = &pass;
+        let mut helpers = Vec::with_capacity(pass.workers - 1);
+        for worker in 1..pass.workers {
+            let (runs, runs_rx) = mpsc::channel();
+            let (done_tx, done) = mpsc::channel();
+            scope.spawn(move || serve(pass, worker, &runs_rx, &done_tx));
+            #[cfg(test)]
+            tests::SPAWNED.set(tests::SPAWNED.get() + 1);
+            helpers.push(Helper { runs, done });
+        }
+        // `helpers` drops when the coordinator leaves the pass, by return
+        // or by unwinding (a failed spawn included), which ends every
+        // helper's loop so the scope can join them.
+        coordinate(pass, &helpers, hooks)
+    });
+    let mut state = pass.state.into_inner().expect("scan state poisoned");
+    state.classes.compress();
+    (state.classes, stats)
+}
+
+/// The coordinator's side of a pass: for each level, a refinement flush
+/// if one is due, the speculative dispatch over the helpers, and the
+/// in-order commit; at each batch end, the lanes' solver effort.
+fn coordinate(pass: &Pass<'_>, helpers: &[Helper], hooks: &SbifHooks) -> SbifStats {
+    let mut stats = SbifStats { levels: pass.sched.num_levels(), ..SbifStats::default() };
 
     // Governed stop check, polled before every signal commit — the
     // ledger it reads is commit-side and batch-attributed, so a budget
@@ -519,10 +688,9 @@ pub(super) fn run(
         hooks.cancel.as_ref().filter(|c| c.is_cancelled()).map(|c| c.exhausted("sbif"))
     };
 
-    'batches: for batch in sched.batches() {
-        let mut lanes: Vec<Mutex<Lane<'_>>> =
-            (0..LANES).map(|_| Mutex::new(Lane::new(nl, constraint, cfg))).collect();
-        for level_run in sched.level_runs(batch.clone()) {
+    let mut spec = HashMap::new();
+    'batches: for batch in pass.sched.batches() {
+        for level_run in pass.sched.level_runs(batch.clone()) {
             if let Some(e) = stop(&stats) {
                 stats.stopped = Some(e);
                 break 'batches;
@@ -530,60 +698,115 @@ pub(super) fn run(
             // Deterministic refinement flush point: a level boundary,
             // before the level is dispatched — dispatch and commit
             // always scan the same buckets.
-            if state.wants_flush(cfg) {
-                state.flush(nl);
+            let mut state = pass.state.write().expect("scan state poisoned");
+            if state.wants_flush(pass.cfg) {
+                state.flush(pass.nl);
                 stats.refinements += 1;
             }
-            let mut spec = dispatch_level(
-                nl,
-                constraint,
-                cfg,
-                prefilter,
-                &sched,
-                &state,
-                level_run.clone(),
-                &lanes,
-                jobs,
-            );
+            drop(state);
+            dispatch(pass, helpers, &level_run, &mut spec);
+            let mut state = pass.state.write().expect("scan state poisoned");
             for p in level_run {
                 if let Some(e) = stop(&stats) {
                     stats.stopped = Some(e);
                     break 'batches;
                 }
-                commit_signal(
-                    nl,
-                    constraint,
-                    cfg,
-                    prefilter,
-                    sched.order()[p],
-                    sched.pos(),
-                    &mut state,
-                    &mut stats,
-                    &mut spec,
-                );
+                #[cfg(test)]
+                if pass.fault == Some(tests::Fault::Commit(p)) {
+                    panic!("injected fault in the commit of scan position {p}");
+                }
+                commit_signal(pass, pass.sched.order()[p], &mut state, &mut stats, &mut spec);
             }
         }
         // Batch-boundary attribution, in lane order: deterministic for
         // any worker count because the lane contents are.
-        for lane in lanes.drain(..) {
-            let lane = lane.into_inner().expect("lane poisoned");
-            let mut total = lane.batch.stats();
-            total.absorb(lane.certify_total);
-            stats.solver.absorb(total);
-            stats.solver_inits += lane.batch.solver_inits();
-            stats.batch_checks += lane.batch.checks() + lane.certify_checks;
-            stats.spec_attempts += lane.spec_attempts;
-            stats.sat_micros += lane.sat_micros;
+        for lane in &pass.lanes {
+            lane.lock().expect("lane poisoned").close_batch(pass, &mut stats);
         }
     }
-    state.classes.compress();
-    (state.classes, stats)
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sbif::{divider_sim_words, forward_information};
+    use sbif_netlist::build::nonrestoring_divider;
     use sbif_rng::XorShift64;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+
+    /// Where a pass panics on purpose. Only test builds have this hook,
+    /// so no production build can inject a fault.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Fault {
+        /// In a helper, as it starts a lane scan.
+        HelperScan,
+        /// On the coordinator, at the commit of this scan position.
+        Commit(usize),
+    }
+
+    thread_local! {
+        /// The fault of the passes this thread coordinates.
+        pub(super) static FAULT: Cell<Option<Fault>> = const { Cell::new(None) };
+        /// Helper threads spawned by the passes this thread coordinates.
+        pub(super) static SPAWNED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Runs one SBIF pass over the non-restoring n = 8 divider at `jobs`
+    /// on a fresh thread with `fault` injected. Returns whether the pass
+    /// panicked and how many helpers it spawned, or `None` if it has not
+    /// ended after 60 s.
+    fn pass_with(
+        jobs: usize,
+        fault: impl FnOnce(&Netlist) -> Option<Fault> + Send + 'static,
+    ) -> Option<(bool, usize)> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let div = nonrestoring_divider(8);
+            let sim = divider_sim_words(&div, 1, 2);
+            FAULT.set(fault(&div.netlist));
+            let cfg = SbifConfig { jobs, ..SbifConfig::default() };
+            let pass = catch_unwind(AssertUnwindSafe(|| {
+                forward_information(
+                    &div.netlist,
+                    Some(div.constraint),
+                    &sim,
+                    cfg,
+                    &SbifHooks::default(),
+                )
+            }));
+            let _ = tx.send((pass.is_err(), SPAWNED.get()));
+        });
+        rx.recv_timeout(Duration::from_secs(60)).ok()
+    }
+
+    #[test]
+    fn a_helper_panic_ends_the_pass_in_a_panic() {
+        for jobs in [2, 4] {
+            let ended = pass_with(jobs, |_| Some(Fault::HelperScan));
+            assert_eq!(ended, Some((true, jobs - 1)), "jobs {jobs}: (panicked, helpers)");
+        }
+    }
+
+    #[test]
+    fn a_commit_panic_ends_the_pass_in_a_panic() {
+        for jobs in [2, 4] {
+            // Midway, so the helpers have scanned levels and sleep.
+            let ended = pass_with(jobs, |nl| Some(Fault::Commit(nl.num_signals() / 2)));
+            assert_eq!(ended, Some((true, jobs - 1)), "jobs {jobs}: (panicked, helpers)");
+        }
+    }
+
+    #[test]
+    fn one_job_spawns_no_thread() {
+        assert_eq!(pass_with(1, |_| None), Some((false, 0)));
+        // No helper exists, so a helper-side fault cannot fire.
+        assert_eq!(pass_with(1, |_| Some(Fault::HelperScan)), Some((false, 0)));
+        assert_eq!(pass_with(2, |_| None), Some((false, 1)));
+        assert_eq!(pass_with(64, |_| None), Some((false, LANES - 1)));
+    }
 
     /// A random netlist over few inputs, so that many signals share a
     /// signature and the buckets stay interesting over many words.

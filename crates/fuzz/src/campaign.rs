@@ -123,9 +123,11 @@ impl Default for CampaignConfig {
 impl CampaignConfig {
     /// The fixed CI smoke profile: non-restoring + SRT at n = 4 and
     /// n = 8, every fault model, enough mutants for a meaningful
-    /// kill-rate gate in a couple of minutes on one core. SRT at n = 8
-    /// is past its proven frontier and runs kill-only; the tighter term
-    /// limit makes its genuine blow-up aborts cheap.
+    /// kill-rate gate. It is not quick: ~18 min at `--jobs 1` on a
+    /// 2-CPU host (1,079 s at rev 09f65f9), and 618–629 s of that is
+    /// one cell, non-restoring n = 8 stuck-at-1. SRT at n = 8 is past
+    /// its proven frontier and runs kill-only; the tighter term limit
+    /// makes its genuine blow-up aborts cheap.
     pub fn smoke(jobs: usize) -> Self {
         CampaignConfig {
             jobs: jobs.max(1),

@@ -132,7 +132,7 @@ timeout 60 ./target/release/sbif-verify --demo 6 --arch srt \
 # may beat it — either way the contract is exit 0 + inconclusive.
 grep -q "VERDICT: inconclusive (" "$FUZZ_TMP/srt-governed.out"
 
-echo "==> parallel gate (sbif-serve jobs differential)"
+echo "==> parallel gate (sbif-serve and wide-net jobs differentials)"
 # DESIGN.md §7: the level-barrier engine's canonical metrics bytes must
 # be identical at any --jobs (tests/parallel_levels.rs sweeps 1/2/4/8 in
 # the test step above). The same contract through the daemon: two
@@ -160,6 +160,17 @@ cmp "$FUZZ_TMP/serve-metrics-1.json" "$FUZZ_TMP/serve-metrics-4.json"
 ./target/release/sbif-serve stop "$SOCK1" > /dev/null
 ./target/release/sbif-serve stop "$SOCK4" > /dev/null
 wait "$SERVE_J1" "$SERVE_J4"
+# The n <= 8 sweeps above make few worker-pool hand-offs; the n = 40
+# divider makes thousands per pass (one per level with work for a
+# helper). Its metrics must match at 1, 2 and 8 jobs, and each run has
+# a hard timeout, so a wedged hand-off fails the gate instead of hanging
+# it.
+for j in 1 2 8; do
+    timeout 120 ./target/release/sbif-verify --demo 40 --vc1-only --jobs "$j" \
+        --metrics-out "$FUZZ_TMP/wide-$j.json" > /dev/null
+done
+cmp "$FUZZ_TMP/wide-1.json" "$FUZZ_TMP/wide-2.json"
+cmp "$FUZZ_TMP/wide-1.json" "$FUZZ_TMP/wide-8.json"
 
 echo "==> bench determinism gate (scripts/bench_check.sh)"
 ./scripts/bench_check.sh

@@ -91,6 +91,41 @@ fn signed_ring_ops_match_i128_across_widths() {
     );
 }
 
+/// A value of three to five limbs (the top one nonzero) of either sign,
+/// or zero one time in eight.
+fn multi_limb(rng: &mut XorShift64) -> Int {
+    if rng.below(8) == 0 {
+        return Int::zero();
+    }
+    let limbs = rng.range_usize(3, 6);
+    let mut v = Int::zero();
+    for k in 0..limbs {
+        let limb = if k + 1 == limbs { rng.next_u64() | 1 } else { rng.next_u64() };
+        v += Int::from(limb).shl_pow2(64 * k as u32);
+    }
+    if rng.next_bool() {
+        -v
+    } else {
+        v
+    }
+}
+
+#[test]
+fn multi_limb_products_agree_in_every_operand_form() {
+    prop_check!(
+        256,
+        |rng: &mut XorShift64| (multi_limb(rng), multi_limb(rng)),
+        |(a, b): (Int, Int)| {
+            let p = &a * &b;
+            p == a.clone() * b.clone()
+                && p == &b * &a
+                && p == &a * b.clone()
+                && p == a.clone() * &b
+                && p == (&a + &Int::one()) * &b - &b
+        }
+    );
+}
+
 #[test]
 fn shifts_match_i128_semantics() {
     // shl_pow2 is exact multiplication by 2^k; shr_floor_pow2 is the
