@@ -4,7 +4,7 @@
 //! *function* each declared output computes over the named input
 //! interface, the side condition C, and the flow configuration. This
 //! module derives a canonical digest of exactly that triple from the
-//! [strash](crate::strash) pass, giving the result cache (ROADMAP
+//! [`strash`] step, giving the result cache (ROADMAP
 //! item 3, `sbif-cache`) its key:
 //!
 //! * **per-cone digests** — each output's `(core, phase)` Merkle pair.

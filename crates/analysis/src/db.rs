@@ -1,27 +1,27 @@
-//! The shared per-signal fact database the passes fill in.
+//! The shared per-signal fact database the analysis steps fill in.
 
 use crate::ternary::Ternary;
 use sbif_netlist::{Netlist, Sig};
 use sbif_trace::json::escape;
 use std::fmt::Write as _;
 
-/// Facts accumulated by one [`PassManager`](crate::PassManager) run.
+/// Facts accumulated by one [`analyze`](crate::analyze) run.
 ///
 /// Vectors indexed by dense signal index are empty until the
-/// corresponding pass has run; consumers treat an empty vector as
-/// "fact not computed" rather than an error, so pass subsets compose.
+/// corresponding step has run; consumers treat an empty vector as
+/// "fact not computed" rather than an error.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisDb {
     /// Number of signals in the analyzed netlist.
     pub num_signals: usize,
     /// Ternary lattice value per signal (under the constraint, when one
-    /// was configured). Empty until the ternary pass ran.
+    /// was configured). Empty until the ternary step ran.
     pub ternary: Vec<Ternary>,
     /// Non-constant signals with a known ternary value (stuck-at facts).
     pub stuck: Vec<(Sig, bool)>,
     /// Contradictions met during ternary justification.
     pub ternary_conflicts: usize,
-    /// Structural digest core per signal. Empty until the strash pass
+    /// Structural digest core per signal. Empty until the strash step
     /// ran.
     pub core: Vec<u64>,
     /// Polarity of each signal relative to its digest core.
@@ -30,16 +30,16 @@ pub struct AnalysisDb {
     /// signals sharing a digest core, each with its phase.
     pub classes: Vec<Vec<(Sig, bool)>>,
     /// Live mask — `true` iff the signal lies in the cone of the
-    /// configured roots. Empty until the cone pass ran.
+    /// primary outputs or C. Empty until the cone step ran.
     pub live: Vec<bool>,
     /// Shadow simulation signatures per signal (`[signal][word]`).
-    /// Empty until the signature pass ran.
+    /// Empty until the signature step ran.
     pub shadow: Vec<Vec<u64>>,
     /// The input planes behind `shadow` (`[input][word]`), kept so a
     /// signature mismatch can be turned into a concrete input vector.
     pub shadow_planes: Vec<Vec<u64>>,
     /// Topological level per signal (strictly greater than every fanin
-    /// level). Empty until the level pass ran.
+    /// level). Empty until the levels step ran.
     pub levels: Vec<usize>,
 }
 
@@ -49,7 +49,7 @@ impl AnalysisDb {
         AnalysisDb { num_signals, ..AnalysisDb::default() }
     }
 
-    /// Number of live signals (0 when the cone pass did not run).
+    /// Number of live signals (0 when the cone step did not run).
     pub fn live_count(&self) -> usize {
         self.live.iter().filter(|&&b| b).count()
     }

@@ -1,6 +1,6 @@
 //! Deterministic static analysis over gate-level netlists (DESIGN.md §14).
 //!
-//! A multi-pass framework that computes cheap whole-netlist facts
+//! A fixed pipeline of steps that computes cheap whole-netlist facts
 //! *before* the expensive engines run, so SBIF's windowed SAT
 //! (`sbif-core`) only pays for candidates that survive a structural
 //! look:
@@ -12,15 +12,16 @@
 //!   per-signal Merkle digests with AIG-style phase separation, the
 //!   per-cone cache key of ROADMAP item 3, and immediate structural
 //!   equivalence/antivalence classes.
-//! * **cone slicing** ([`pass::ConePass`]) — cone-of-influence mask
-//!   keyed on the miter/spec outputs, applied in `verify.rs` before
-//!   SBIF so dead logic never reaches Alg. 1.
+//! * **cone slicing** — cone-of-influence mask keyed on the primary
+//!   outputs plus C ([`AnalysisDb::live`]), behind `sbif-lint`'s
+//!   `unreachable` rule.
 //! * **[`signature`]** — shadow simulation signatures from an
 //!   independent stimulus set, used by the SBIF prefilter to refute
 //!   candidate pairs without building a window solver.
 //!
-//! Passes run under a [`PassManager`] into a shared [`AnalysisDb`] of
-//! per-signal facts; every pass emits `analysis.*` trace counters.
+//! [`analyze`] runs the steps in order into a shared [`AnalysisDb`] of
+//! per-signal facts; every step emits `analysis.*` trace counters and
+//! a `span.analysis.<step>` span.
 //! **Determinism contract:** the whole pipeline is single-threaded and
 //! derives only from `(netlist, config)`, so the database, its
 //! [`AnalysisDb::to_json`] dump and all counters are byte-identical
@@ -59,5 +60,5 @@ pub use cachekey::{design_digest, ConeDigest, DesignDigest};
 pub use canon::{canon_of, relate, CanonForm};
 pub use db::AnalysisDb;
 pub use lint::{findings, Finding};
-pub use pass::{analyze, AnalysisConfig, Pass, PassManager};
+pub use pass::{analyze, AnalysisConfig};
 pub use ternary::Ternary;

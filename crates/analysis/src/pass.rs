@@ -1,11 +1,12 @@
-//! The pass manager: deterministic, single-threaded, fully ordered.
+//! The analysis pipeline: deterministic, single-threaded, fully ordered.
 //!
-//! Each pass reads the netlist plus the facts earlier passes left in
-//! the [`AnalysisDb`] and appends its own. Passes run in a fixed order
-//! on one thread and derive everything from `(netlist, config)`, so the
-//! database — and every `analysis.*` counter — is byte-identical across
-//! runs and `--jobs` values (the same determinism contract the SBIF
-//! commit path obeys, DESIGN.md §12/§14).
+//! [`analyze`] runs five steps in a fixed order — levels, ternary,
+//! strash, cone, signature. Each step reads the netlist plus the facts
+//! earlier steps left in the [`AnalysisDb`] and appends its own. The
+//! steps run on one thread and derive everything from `(netlist,
+//! config)`, so the database — and every `analysis.*` counter — is
+//! byte-identical across runs and `--jobs` values (the same determinism
+//! contract the SBIF commit path obeys, DESIGN.md §12/§14).
 
 use crate::db::AnalysisDb;
 use crate::signature;
@@ -14,222 +15,115 @@ use crate::ternary;
 use sbif_netlist::{Netlist, Sig};
 use sbif_trace::{Recorder, ScopedRecorder};
 
-/// Configuration shared by all passes.
-#[derive(Debug, Clone)]
+/// Configuration of the analysis.
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisConfig {
-    /// Cone roots for the slicing pass. Empty means "all primary
-    /// outputs" (plus the constraint, when one is set).
-    pub roots: Vec<Sig>,
-    /// The side-condition signal C, assumed 1 by ternary justification.
+    /// The side-condition signal C, assumed 1 by ternary justification
+    /// and added to the cone roots (the primary outputs).
     pub constraint: Option<Sig>,
-    /// Explicit shadow input planes (`[input][word]`) for the
-    /// signature pass — e.g. constraint-satisfying divider stimulus.
-    /// `None` falls back to unconstrained random planes from
-    /// `shadow_seed`.
+    /// Explicit shadow input planes (`[input][word]`) for the signature
+    /// step — e.g. constraint-satisfying divider stimulus. `None` falls
+    /// back to two words of unconstrained random planes from a fixed
+    /// seed.
     pub shadow_planes: Option<Vec<Vec<u64>>>,
-    /// Seed for the fallback random planes.
-    pub shadow_seed: u64,
-    /// Number of fallback random plane words.
-    pub shadow_words: usize,
 }
 
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            roots: Vec::new(),
-            constraint: None,
-            shadow_planes: None,
-            shadow_seed: 0x57A7_1C5E_ED00,
-            shadow_words: 2,
-        }
+/// Seed of the fallback random shadow planes.
+const SHADOW_SEED: u64 = 0x57A7_1C5E_ED00;
+
+/// Words of fallback random shadow planes.
+const SHADOW_WORDS: usize = 2;
+
+/// One step of the pipeline: appends facts to the database and counters
+/// to the recorder (already scoped under `analysis.`).
+type Step = fn(&Netlist, &AnalysisConfig, &mut AnalysisDb, &ScopedRecorder);
+
+/// Runs the pipeline — levels → ternary → strash → cone → signature —
+/// recording `analysis.*` counters and a `span.analysis.<step>` span per
+/// step on `rec`.
+pub fn analyze(nl: &Netlist, cfg: &AnalysisConfig, rec: &Recorder) -> AnalysisDb {
+    const STEPS: [(&str, Step); 5] = [
+        ("levels", levels),
+        ("ternary", ternary),
+        ("strash", strash),
+        ("cone", cone),
+        ("signature", signature),
+    ];
+    let scoped = rec.scoped("analysis");
+    let mut db = AnalysisDb::new(nl.num_signals());
+    for (name, step) in STEPS {
+        let span = scoped.span(name);
+        step(nl, cfg, &mut db, &scoped);
+        span.close();
     }
-}
-
-impl AnalysisConfig {
-    /// The effective cone roots: configured roots or all primary
-    /// outputs, with the constraint appended.
-    fn effective_roots(&self, nl: &Netlist) -> Vec<Sig> {
-        let mut roots: Vec<Sig> = if self.roots.is_empty() {
-            nl.outputs().iter().map(|&(_, s)| s).collect()
-        } else {
-            self.roots.clone()
-        };
-        if let Some(c) = self.constraint {
-            if !roots.contains(&c) {
-                roots.push(c);
-            }
-        }
-        roots
-    }
-}
-
-/// One static-analysis pass.
-pub trait Pass {
-    /// Short name, used for the `span.analysis.<name>` span.
-    fn name(&self) -> &'static str;
-    /// Runs the pass, appending facts to `db` and counters to `rec`
-    /// (already scoped under `analysis.`).
-    fn run(&self, nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder);
-}
-
-/// Ternary 0/1/X constant propagation (see [`crate::ternary`]).
-pub struct TernaryPass;
-
-impl Pass for TernaryPass {
-    fn name(&self) -> &'static str {
-        "ternary"
-    }
-
-    fn run(&self, nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
-        let r = ternary::propagate(nl, cfg.constraint);
-        let known = r.values.iter().filter(|t| t.known().is_some()).count();
-        rec.add("ternary_known", known as u64);
-        rec.add("ternary_stuck", r.stuck.len() as u64);
-        rec.add("ternary_conflicts", r.conflicts as u64);
-        rec.add("ternary_rounds", r.rounds as u64);
-        db.ternary = r.values;
-        db.stuck = r.stuck;
-        db.ternary_conflicts = r.conflicts;
-    }
+    db
 }
 
 /// Topological level map (depth per signal), stored in
 /// [`AnalysisDb::levels`] for `--analysis-out` and counted as
 /// `levels`/`level_width_max`. The SBIF level scheduler derives the same
 /// map from [`Netlist::levels`].
-pub struct LevelPass;
-
-impl Pass for LevelPass {
-    fn name(&self) -> &'static str {
-        "levels"
+fn levels(nl: &Netlist, _cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
+    let levels = nl.levels();
+    let depth = levels.iter().map(|&l| l + 1).max().unwrap_or(0);
+    rec.add("levels", depth as u64);
+    let mut width = vec![0u64; depth];
+    for &l in &levels {
+        width[l] += 1;
     }
+    rec.add("level_width_max", width.into_iter().max().unwrap_or(0));
+    db.levels = levels;
+}
 
-    fn run(&self, nl: &Netlist, _cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
-        let levels = nl.levels();
-        let depth = levels.iter().map(|&l| l + 1).max().unwrap_or(0);
-        rec.add("levels", depth as u64);
-        let widest = {
-            let mut width = vec![0u64; depth];
-            for &l in &levels {
-                width[l] += 1;
-            }
-            width.into_iter().max().unwrap_or(0)
-        };
-        rec.add("level_width_max", widest);
-        db.levels = levels;
-    }
+/// Ternary 0/1/X constant propagation (see [`crate::ternary`]).
+fn ternary(nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
+    let r = ternary::propagate(nl, cfg.constraint);
+    let known = r.values.iter().filter(|t| t.known().is_some()).count();
+    rec.add("ternary_known", known as u64);
+    rec.add("ternary_stuck", r.stuck.len() as u64);
+    rec.add("ternary_conflicts", r.conflicts as u64);
+    rec.add("ternary_rounds", r.rounds as u64);
+    db.ternary = r.values;
+    db.stuck = r.stuck;
+    db.ternary_conflicts = r.conflicts;
 }
 
 /// Canonical structural hashing (see [`crate::strash`]).
-pub struct StrashPass;
-
-impl Pass for StrashPass {
-    fn name(&self) -> &'static str {
-        "strash"
-    }
-
-    fn run(&self, nl: &Netlist, _cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
-        let r = strash::digests(nl);
-        rec.add("strash_classes", r.classes.len() as u64);
-        let duplicates: usize = r.classes.iter().map(|c| c.len() - 1).sum();
-        rec.add("strash_duplicates", duplicates as u64);
-        db.core = r.core;
-        db.phase = r.phase;
-        db.classes = r.classes;
-    }
+fn strash(nl: &Netlist, _cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
+    let r = strash::digests(nl);
+    rec.add("strash_classes", r.classes.len() as u64);
+    let duplicates: usize = r.classes.iter().map(|c| c.len() - 1).sum();
+    rec.add("strash_duplicates", duplicates as u64);
+    db.core = r.core;
+    db.phase = r.phase;
+    db.classes = r.classes;
 }
 
-/// Cone-of-influence slicing keyed on the configured roots.
-pub struct ConePass;
-
-impl Pass for ConePass {
-    fn name(&self) -> &'static str {
-        "cone"
+/// Cone-of-influence mask keyed on the primary outputs plus the
+/// constraint.
+fn cone(nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
+    let mut roots: Vec<Sig> = nl.outputs().iter().map(|&(_, s)| s).collect();
+    roots.extend(cfg.constraint.filter(|c| !roots.contains(c)));
+    let mut live = vec![false; nl.num_signals()];
+    for s in nl.cone(&roots) {
+        live[s.index()] = true;
     }
-
-    fn run(&self, nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
-        let roots = cfg.effective_roots(nl);
-        let mut live = vec![false; nl.num_signals()];
-        for s in nl.cone(&roots) {
-            live[s.index()] = true;
-        }
-        let live_count = live.iter().filter(|&&b| b).count();
-        rec.add("cone_live", live_count as u64);
-        rec.add("cone_dead", (nl.num_signals() - live_count) as u64);
-        db.live = live;
-    }
+    let live_count = live.iter().filter(|&&b| b).count();
+    rec.add("cone_live", live_count as u64);
+    rec.add("cone_dead", (nl.num_signals() - live_count) as u64);
+    db.live = live;
 }
 
 /// Shadow simulation signatures (see [`crate::signature`]).
-pub struct SignaturePass;
-
-impl Pass for SignaturePass {
-    fn name(&self) -> &'static str {
-        "signature"
-    }
-
-    fn run(&self, nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
-        let planes = match &cfg.shadow_planes {
-            Some(p) => p.clone(),
-            None => {
-                signature::random_planes(nl.inputs().len(), cfg.shadow_words, cfg.shadow_seed)
-            }
-        };
-        let words = planes.first().map_or(0, |p| p.len());
-        rec.add("shadow_words", words as u64);
-        db.shadow = signature::signatures(nl, &planes);
-        db.shadow_planes = planes;
-    }
-}
-
-/// An ordered pipeline of passes over one netlist.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl PassManager {
-    /// The standard pipeline: levels → ternary → strash → cone →
-    /// signature.
-    pub fn standard() -> Self {
-        PassManager {
-            passes: vec![
-                Box::new(LevelPass),
-                Box::new(TernaryPass),
-                Box::new(StrashPass),
-                Box::new(ConePass),
-                Box::new(SignaturePass),
-            ],
-        }
-    }
-
-    /// An empty manager; add passes with [`PassManager::push`].
-    pub fn empty() -> Self {
-        PassManager { passes: Vec::new() }
-    }
-
-    /// Appends a pass to the pipeline.
-    pub fn push(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Runs every pass in order, recording `analysis.*` counters and a
-    /// `span.analysis.<pass>` span per pass on `rec`.
-    pub fn run(&self, nl: &Netlist, cfg: &AnalysisConfig, rec: &Recorder) -> AnalysisDb {
-        let scoped = rec.scoped("analysis");
-        let mut db = AnalysisDb::new(nl.num_signals());
-        for pass in &self.passes {
-            let span = scoped.span(pass.name());
-            pass.run(nl, cfg, &mut db, &scoped);
-            span.close();
-        }
-        db
-    }
-}
-
-/// Runs the standard pipeline; the common entry point.
-pub fn analyze(nl: &Netlist, cfg: &AnalysisConfig, rec: &Recorder) -> AnalysisDb {
-    PassManager::standard().run(nl, cfg, rec)
+fn signature(nl: &Netlist, cfg: &AnalysisConfig, db: &mut AnalysisDb, rec: &ScopedRecorder) {
+    let planes = match &cfg.shadow_planes {
+        Some(p) => p.clone(),
+        None => signature::random_planes(nl.inputs().len(), SHADOW_WORDS, SHADOW_SEED),
+    };
+    let words = planes.first().map_or(0, |p| p.len());
+    rec.add("shadow_words", words as u64);
+    db.shadow = signature::signatures(nl, &planes);
+    db.shadow_planes = planes;
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Every signal gets a 64-bit digest `core` plus a `phase` bit, AIG
 //! style: inverters are free (they flip the phase, not the core), the
 //! AND/NAND/OR/NOR/ANDN family collapses onto a canonical sorted AND
-//! via [`canon_of`](crate::canon::canon_of), and XOR/XNOR onto a
+//! via [`crate::canon::canon_of`], and XOR/XNOR onto a
 //! canonical XOR. Two signals with equal cores compute structurally
 //! identical functions of the primary inputs — equal phase means
 //! equivalent, opposite phase antivalent — up to the astronomically

@@ -418,11 +418,6 @@ impl BddManager {
         self.mk(v, Self::FALSE, Self::TRUE)
     }
 
-    /// The negated variable.
-    pub fn nvar(&mut self, v: VarId) -> Bdd {
-        self.var(v).flip()
-    }
-
     /// The level of a variable (0 = top).
     #[inline]
     pub fn level_of(&self, v: VarId) -> u32 {
@@ -658,8 +653,8 @@ impl BddManager {
     }
 
     /// Pins `f`'s node (and transitively everything it reaches) across
-    /// garbage collections, independent of the `roots` each [`gc`]
-    /// (Self::gc) call receives. Pins nest: every [`pin`](Self::pin)
+    /// garbage collections, independent of the `roots` each
+    /// [`gc`](Self::gc) call receives. Pins nest: every [`pin`](Self::pin)
     /// needs a matching [`unpin`](Self::unpin).
     pub fn pin(&mut self, f: Bdd) {
         if self.is_const(f) {
@@ -683,11 +678,6 @@ impl BddManager {
         if *count == 0 {
             self.pins.remove(&idx);
         }
-    }
-
-    /// Number of distinct pinned nodes.
-    pub fn pinned_count(&self) -> usize {
-        self.pins.len()
     }
 
     /// Mark-and-sweep garbage collection: everything not reachable from
@@ -836,9 +826,8 @@ impl BddManager {
     /// key, no stale or duplicate entries), and free-list/dead-flag
     /// agreement. Returns a description of the first violation.
     ///
-    /// Runs in `O(nodes + slots)`; the engine calls it via
-    /// [`debug_validate`](Self::debug_validate) after every GC and
-    /// reorder pass in debug builds, and the property suites call it
+    /// Runs in `O(nodes + slots)`; the engine calls it after every GC
+    /// and reorder pass in debug builds, and the property suites call it
     /// directly after every operation.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() || self.nodes[0].var != TERMINAL_VAR {

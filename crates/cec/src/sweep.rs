@@ -165,24 +165,22 @@ pub fn sweep_cec(nl: &Netlist, output: &str, assume: Option<Sig>, budget: Budget
                 continue;
             }
             let same_polarity = flip_a == flip_b;
-            // Activation literal for the temporary difference clauses.
-            let sel = Lit::pos(solver.new_var());
+            let sel = solver.new_activation();
             let la = enc.lit(&mut solver, a);
             let lb = enc.lit(&mut solver, b);
             if same_polarity {
-                solver.add_clause([!sel, la, lb]);
-                solver.add_clause([!sel, !la, !lb]);
+                solver.add_clause_activated(sel, [la, lb]);
+                solver.add_clause_activated(sel, [!la, !lb]);
             } else {
-                solver.add_clause([!sel, la, !lb]);
-                solver.add_clause([!sel, !la, lb]);
+                solver.add_clause_activated(sel, [la, !lb]);
+                solver.add_clause_activated(sel, [!la, lb]);
             }
             let mut assumptions = assumptions_base.clone();
             assumptions.push(sel);
             stats.sat_checks += 1;
             let res = solver
                 .solve_with(&assumptions, Budget::new().with_conflicts(NODE_CONFLICTS));
-            // Retire the activation literal.
-            solver.add_clause([!sel]);
+            solver.retire_activation(sel);
             match res {
                 SolveResult::Unsat => {
                     classes.union(a.0, b.0, !same_polarity);

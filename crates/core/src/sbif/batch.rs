@@ -22,19 +22,34 @@
 //!   and those are sound for every check. Verdicts are therefore
 //!   exactly what a fresh per-window solver would return, modulo the
 //!   conflict-budget boundary (a shared solver may reach a verdict in a
-//!   different number of conflicts; with the [`SAT_CONFLICTS`] budget
+//!   different number of conflicts; with the
+//!   [`SAT_CONFLICTS`](super::SAT_CONFLICTS) budget
 //!   of 2000 against ~1–2 conflicts per window check this is
 //!   unobservable).
 //!
 //! Window variables are shared through one [`NetlistEncoder`], but the
 //! *clauses* are re-added (guarded) per check: local merges between two
 //! checks change representative mappings, so a gate's CNF from an
-//! earlier check may be stale. The per-check `encoded` set mirrors the
-//! fresh path's exactly.
+//! earlier check may be stale. A batched check and the per-window
+//! [`check_window_pair`] run the same solve body on a solver from the
+//! same builder; only the guard differs. The window walk ignores the
+//! encoder's marks of the shared `C` cone exactly as on a fresh solver,
+//! so window∩cone gates get guarded copies there too and the clause
+//! structure (and so the verdicts) stays aligned.
+//!
+//! Certified checks cannot share a solver: each logs its own DRAT proof.
+//! Under [`SbifConfig::certify`], [`WindowBatch::check`] therefore runs
+//! every check on a fresh proof-logging solver through
+//! [`check_window_pair`] and builds no shared solver at all. Such checks
+//! count in [`checks`](WindowBatch::checks) and
+//! [`stats`](WindowBatch::stats), not in
+//! [`solver_inits`](WindowBatch::solver_inits).
 
-use super::{encode_window, EquivClasses, SbifConfig, WindowOutcome, SAT_CONFLICTS};
+use super::{
+    check_window_pair, constrained_solver, solve_window, EquivClasses, SbifConfig, WindowOutcome,
+};
 use sbif_netlist::{Netlist, Sig};
-use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
+use sbif_sat::{Lit, NetlistEncoder, Solver, SolverStats};
 
 /// A shared incremental solver for the window checks of one dispatch
 /// batch. Construction is free; the solver and the `C`-cone encoding
@@ -45,15 +60,12 @@ pub struct WindowBatch<'a> {
     nl: &'a Netlist,
     constraint: Option<Sig>,
     cfg: SbifConfig,
-    shared: Option<Shared>,
+    shared: Option<(Solver, NetlistEncoder)>,
+    /// Solver totals of the certified checks, one fresh solver each.
+    certified: SolverStats,
     inits: usize,
     checks: usize,
     last_guard: Option<Lit>,
-}
-
-struct Shared {
-    solver: Solver,
-    enc: NetlistEncoder,
 }
 
 impl<'a> WindowBatch<'a> {
@@ -65,6 +77,7 @@ impl<'a> WindowBatch<'a> {
             constraint,
             cfg: *cfg,
             shared: None,
+            certified: SolverStats::default(),
             inits: 0,
             checks: 0,
             last_guard: None,
@@ -73,9 +86,9 @@ impl<'a> WindowBatch<'a> {
 
     /// One windowed SAT check `UNSAT(CNF(a ⊕ b^ε, W_a, W_b, C))` on the
     /// shared solver — same contract as the per-window
-    /// [`check_window_pair`](super::check_window_pair) (which it must
-    /// agree with; see the [module docs](self)), except that no DRAT
-    /// proof can be logged: certified runs use fresh per-window solvers.
+    /// [`check_window_pair`] (which it must agree with; see the
+    /// [module docs](self)). Under [`SbifConfig::certify`] the check runs
+    /// on a fresh proof-logging solver instead.
     ///
     /// The returned outcome's [`solver`](WindowOutcome::solver) field
     /// holds this check's *delta* of the shared counters; the batch
@@ -87,57 +100,22 @@ impl<'a> WindowBatch<'a> {
         b: Sig,
         same_polarity: bool,
     ) -> WindowOutcome {
-        debug_assert!(!self.cfg.certify, "certified checks need per-window proof logging");
-        let (nl, constraint) = (self.nl, self.constraint);
-        let shared = self.shared.get_or_insert_with(|| {
-            self.inits += 1;
-            let mut solver = Solver::new();
-            let mut enc = NetlistEncoder::new(nl);
-            if let Some(c) = constraint {
-                enc.encode_cone(&mut solver, nl, c);
-                let lc = enc.lit(&mut solver, c);
-                solver.add_clause([lc]);
-            }
-            Shared { solver, enc }
-        });
         self.checks += 1;
-        let (solver, enc) = (&mut shared.solver, &mut shared.enc);
+        let (nl, constraint, cfg) = (self.nl, self.constraint, &self.cfg);
+        if cfg.certify {
+            let o = check_window_pair(nl, classes, constraint, a, b, same_polarity, cfg, None);
+            self.certified.absorb(o.solver);
+            return o;
+        }
+        let (solver, enc) = self.shared.get_or_insert_with(|| {
+            self.inits += 1;
+            constrained_solver(nl, constraint, false)
+        });
         let before = solver.stats();
         let g = solver.new_activation();
         self.last_guard = Some(g);
-        // The per-check `encoded` set deliberately ignores the shared
-        // `C`-cone marks: the fresh path re-encodes window∩cone gates
-        // too, and the guarded copies keep the clause structure (and so
-        // the verdicts) aligned with it.
-        let mut encoded: std::collections::HashSet<Sig> = std::collections::HashSet::new();
-        for root in [a, b] {
-            encode_window(
-                nl,
-                classes,
-                solver,
-                enc,
-                &mut encoded,
-                root,
-                self.cfg.window_depth,
-                Some(g),
-            );
-        }
-        let la = enc.lit(solver, a);
-        let lb = enc.lit(solver, b);
-        if same_polarity {
-            solver.add_clause_activated(g, [la, lb]);
-            solver.add_clause_activated(g, [!la, !lb]);
-        } else {
-            solver.add_clause_activated(g, [la, !lb]);
-            solver.add_clause_activated(g, [!la, lb]);
-        }
-        let result = solver.solve_with(&[g], Budget::new().with_conflicts(SAT_CONFLICTS));
-        let cex = (result == SolveResult::Sat).then(|| {
-            nl.inputs()
-                .iter()
-                .map(|&s| enc.peek_lit(s).and_then(|l| solver.model_lit(l)).unwrap_or(false))
-                .collect()
-        });
+        let (result, cex) =
+            solve_window(nl, classes, solver, enc, a, b, same_polarity, cfg, Some(g));
         solver.retire_activation(g);
         WindowOutcome {
             result,
@@ -153,17 +131,21 @@ impl<'a> WindowBatch<'a> {
         self.inits
     }
 
-    /// How many checks ran on the shared solver.
+    /// How many checks ran, certified ones included.
     pub fn checks(&self) -> usize {
         self.checks
     }
 
-    /// The shared solver's cumulative counters — the batch's
-    /// contribution to the commit-side ledger (attributed per batch, not
-    /// per check, so governed conflict budgets stay deterministic for
-    /// any worker count).
+    /// The cumulative counters of the shared solver and of the certified
+    /// checks' solvers — the batch's contribution to the commit-side
+    /// ledger (attributed per batch, not per check, so governed conflict
+    /// budgets stay deterministic for any worker count).
     pub fn stats(&self) -> SolverStats {
-        self.shared.as_ref().map(|s| s.solver.stats()).unwrap_or_default()
+        let mut total = self.certified;
+        if let Some((solver, _)) = &self.shared {
+            total.absorb(solver.stats());
+        }
+        total
     }
 
     /// Test-only sabotage hook: permanently *asserts* the last check's
@@ -173,8 +155,8 @@ impl<'a> WindowBatch<'a> {
     /// the learnt-clause-reuse tests use it to show the isolation is
     /// doing real work.
     pub fn poison_last_guard(&mut self) {
-        if let (Some(shared), Some(g)) = (self.shared.as_mut(), self.last_guard) {
-            shared.solver.add_clause([g]);
+        if let (Some((solver, _)), Some(g)) = (self.shared.as_mut(), self.last_guard) {
+            solver.add_clause([g]);
         }
     }
 }

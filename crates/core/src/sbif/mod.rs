@@ -33,8 +33,9 @@ use sbif_analysis::{canon_of, relate, CanonForm};
 use sbif_cec::certify_solver_unsat;
 use sbif_check::{CertOutcome, CertStats};
 use sbif_govern::{CancelToken, Exhausted};
-use sbif_netlist::{Gate, Netlist, Sig};
+use sbif_netlist::{Netlist, Sig};
 use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
+use std::collections::HashSet;
 
 /// Conflict budget per window check; exhausted checks count as "not
 /// proven" (sound: fewer merges, never wrong ones).
@@ -149,11 +150,13 @@ pub struct SbifStats {
     /// Shared incremental solvers built by the batch runners — at most
     /// one per batch, so ≥ 10× fewer than
     /// [`windows_solved`](Self::windows_solved) on the divider
-    /// workloads. Commit-side fresh re-checks (speculation misses) build
-    /// per-window solvers that are *not* counted here.
+    /// workloads. Commit-side fresh re-checks (speculation misses) and
+    /// certified checks build per-window solvers that are *not* counted
+    /// here.
     pub solver_inits: usize,
-    /// Window checks served by a shared batch solver (speculative side;
-    /// the commit-side equivalent is
+    /// Window checks served by the batch runners, on their shared
+    /// solvers or, under [`SbifConfig::certify`], on per-window ones
+    /// (speculative side; the commit-side equivalent is
     /// [`windows_solved`](Self::windows_solved)).
     pub batch_checks: usize,
 }
@@ -381,54 +384,14 @@ pub fn check_window_pair(
     cfg: &SbifConfig,
     prefilter: Option<&SbifPrefilter>,
 ) -> WindowOutcome {
-    if let Some(p) = prefilter {
-        if let Some(outcome) = p.try_decide(nl, classes, a, b, same_polarity, cfg.certify) {
-            return outcome;
-        }
+    if let Some(outcome) =
+        prefilter.and_then(|p| p.try_decide(nl, classes, a, b, same_polarity, cfg.certify))
+    {
+        return outcome;
     }
-    let mut solver = Solver::new();
-    if cfg.certify {
-        solver.enable_proof_log();
-    }
-    let mut enc = NetlistEncoder::new(nl);
-    if let Some(c) = constraint {
-        enc.encode_cone(&mut solver, nl, c);
-        let lc = enc.lit(&mut solver, c);
-        solver.add_clause([lc]);
-    }
-    // Encode both windows with representative-mapped fanins.
-    let mut encoded: std::collections::HashSet<Sig> = std::collections::HashSet::new();
-    for root in [a, b] {
-        encode_window(
-            nl,
-            classes,
-            &mut solver,
-            &mut enc,
-            &mut encoded,
-            root,
-            cfg.window_depth,
-            None,
-        );
-    }
-    let la = enc.lit(&mut solver, a);
-    let lb = enc.lit(&mut solver, b);
-    // Candidate equivalence: assert a ≠ b; candidate antivalence: a = b.
-    if same_polarity {
-        solver.add_clause([la, lb]);
-        solver.add_clause([!la, !lb]);
-    } else {
-        solver.add_clause([la, !lb]);
-        solver.add_clause([!la, lb]);
-    }
-    let result = solver.solve_with(&[], Budget::new().with_conflicts(SAT_CONFLICTS));
-    let cex = (result == SolveResult::Sat).then(|| {
-        nl.inputs()
-            .iter()
-            .map(|&s| {
-                enc.peek_lit(s).and_then(|l| solver.model_lit(l)).unwrap_or(false)
-            })
-            .collect()
-    });
+    let (mut solver, mut enc) = constrained_solver(nl, constraint, cfg.certify);
+    let (result, cex) =
+        solve_window(nl, classes, &mut solver, &mut enc, a, b, same_polarity, cfg, None);
     let cert =
         (cfg.certify && result == SolveResult::Unsat).then(|| certify_solver_unsat(&solver));
     WindowOutcome { result, cex, cert, solver: solver.stats(), prefiltered: None }
@@ -452,118 +415,91 @@ pub struct WindowOutcome {
     pub prefiltered: Option<Prefiltered>,
 }
 
-/// Adds a gate clause: guarded by an activation literal on the batched
-/// path ([`WindowBatch`]), plain on the per-window path.
-fn emit_clause<const N: usize>(solver: &mut Solver, guard: Option<Lit>, lits: [Lit; N]) {
-    match guard {
-        Some(g) => {
-            solver.add_clause_activated(g, lits);
-        }
-        None => {
-            solver.add_clause(lits);
-        }
+/// A solver with the cone of the constraint `C` encoded over the
+/// original gates and `C` asserted, plus the encoder holding its
+/// variables; with `proof`, the solver logs a DRAT proof from its first
+/// clause. Every SAT question of SBIF and of the residual decision
+/// starts here.
+pub(crate) fn constrained_solver(
+    nl: &Netlist,
+    constraint: Option<Sig>,
+    proof: bool,
+) -> (Solver, NetlistEncoder) {
+    let mut solver = Solver::new();
+    if proof {
+        solver.enable_proof_log();
     }
+    let mut enc = NetlistEncoder::new(nl);
+    if let Some(c) = constraint {
+        enc.encode_cone(&mut solver, nl, c);
+        let lc = enc.lit(&mut solver, c);
+        solver.add_clause([lc]);
+    }
+    (solver, enc)
 }
 
-/// Encodes the window `W_root` of depth `d_max`: a BFS backwards from
-/// `root` where every predecessor is first mapped to its class
-/// representative. With a `guard`, every emitted clause is
-/// assumption-guarded (the batched path); variables are allocated
-/// unguarded either way.
+/// The body of every window check, on a solver that already holds `C`:
+/// encodes the windows `W_a` and `W_b` of depth `d_max`, asserts
+/// `a ⊕ b^ε`, solves under the conflict budget and reads the
+/// primary-input counterexample of a SAT verdict.
+///
+/// The windows are one walk backwards from `a`, then from `b`, that
+/// maps every fanin to its class representative before it emits or
+/// visits it, and emits each gate once per check. With a `guard`, every
+/// clause is activation-guarded and the solve assumes the guard (the
+/// batched path, [`WindowBatch`]); variables are allocated unguarded
+/// either way.
 #[allow(clippy::too_many_arguments)]
-fn encode_window(
+fn solve_window(
     nl: &Netlist,
     classes: &EquivClasses,
     solver: &mut Solver,
     enc: &mut NetlistEncoder,
-    encoded: &mut std::collections::HashSet<Sig>,
-    root: Sig,
-    depth: usize,
+    a: Sig,
+    b: Sig,
+    same_polarity: bool,
+    cfg: &SbifConfig,
     guard: Option<Lit>,
-) {
-    let mut queue: Vec<(Sig, usize)> = vec![(root, 0)];
-    while let Some((s, d)) = queue.pop() {
+) -> (SolveResult, Option<Vec<bool>>) {
+    let mut encoded: HashSet<Sig> = HashSet::new();
+    // A stack: `a`'s whole window is popped before `b` is.
+    let mut stack = vec![(b, 0), (a, 0)];
+    while let Some((s, d)) = stack.pop() {
         if !encoded.insert(s) {
             continue;
         }
-        let out = enc.lit(solver, s);
-        match *nl.gate(s) {
-            Gate::Input => {}
-            Gate::Const(v) => {
-                emit_clause(solver, guard, [if v { out } else { !out }]);
+        enc.emit_gate(solver, nl, s, guard, |enc, solver, x| {
+            let (r, neg) = classes.rep(x);
+            let l = enc.lit(solver, r);
+            if neg {
+                !l
+            } else {
+                l
             }
-            Gate::Unary(op, x) => {
-                let lx = mapped_lit(classes, solver, enc, x);
-                let rhs = match op {
-                    sbif_netlist::UnaryOp::Buf => lx,
-                    sbif_netlist::UnaryOp::Not => !lx,
-                };
-                emit_clause(solver, guard, [!out, rhs]);
-                emit_clause(solver, guard, [out, !rhs]);
-                if d < depth {
-                    queue.push((classes.rep(x).0, d + 1));
-                }
-            }
-            Gate::Binary(op, x, y) => {
-                let lx = mapped_lit(classes, solver, enc, x);
-                let ly = mapped_lit(classes, solver, enc, y);
-                add_binop_clauses(solver, guard, op, out, lx, ly);
-                if d < depth {
-                    queue.push((classes.rep(x).0, d + 1));
-                    queue.push((classes.rep(y).0, d + 1));
-                }
-            }
+        });
+        if d < cfg.window_depth {
+            stack.extend(nl.gate(s).fanins().map(|x| (classes.rep(x).0, d + 1)));
         }
     }
-}
-
-/// The literal of `rep(s)`, negated when `s` is antivalent to its
-/// representative.
-fn mapped_lit(
-    classes: &EquivClasses,
-    solver: &mut Solver,
-    enc: &mut NetlistEncoder,
-    s: Sig,
-) -> Lit {
-    let (r, neg) = classes.rep(s);
-    let l = enc.lit(solver, r);
-    if neg {
-        !l
-    } else {
-        l
+    let la = enc.lit(solver, a);
+    let lb = enc.lit(solver, b);
+    // Candidate equivalence: assert a ≠ b; candidate antivalence: a = b.
+    let lb = if same_polarity { lb } else { !lb };
+    for clause in [[la, lb], [!la, !lb]] {
+        match guard {
+            Some(g) => solver.add_clause_activated(g, clause),
+            None => solver.add_clause(clause),
+        };
     }
-}
-
-/// CNF clauses for `out = x <op> y`, optionally activation-guarded.
-fn add_binop_clauses(
-    solver: &mut Solver,
-    guard: Option<Lit>,
-    op: sbif_netlist::BinOp,
-    out: Lit,
-    x: Lit,
-    y: Lit,
-) {
-    use sbif_netlist::BinOp::*;
-    let and = |solver: &mut Solver, o: Lit, a: Lit, b: Lit| {
-        emit_clause(solver, guard, [!o, a]);
-        emit_clause(solver, guard, [!o, b]);
-        emit_clause(solver, guard, [o, !a, !b]);
-    };
-    let xor = |solver: &mut Solver, o: Lit, a: Lit, b: Lit| {
-        emit_clause(solver, guard, [!o, a, b]);
-        emit_clause(solver, guard, [!o, !a, !b]);
-        emit_clause(solver, guard, [o, !a, b]);
-        emit_clause(solver, guard, [o, a, !b]);
-    };
-    match op {
-        And => and(solver, out, x, y),
-        Nand => and(solver, !out, x, y),
-        Or => and(solver, !out, !x, !y),
-        Nor => and(solver, out, !x, !y),
-        AndNot => and(solver, out, x, !y),
-        Xor => xor(solver, out, x, y),
-        Xnor => xor(solver, !out, x, y),
-    }
+    let result =
+        solver.solve_with(guard.as_slice(), Budget::new().with_conflicts(SAT_CONFLICTS));
+    let cex = (result == SolveResult::Sat).then(|| {
+        nl.inputs()
+            .iter()
+            .map(|&s| enc.peek_lit(s).and_then(|l| solver.model_lit(l)).unwrap_or(false))
+            .collect()
+    });
+    (result, cex)
 }
 
 #[cfg(test)]

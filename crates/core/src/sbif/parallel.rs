@@ -131,7 +131,7 @@ use super::{
 };
 use sbif_govern::{Exhausted, Resource};
 use sbif_netlist::{Netlist, Sig};
-use sbif_sat::{SolveResult, SolverStats};
+use sbif_sat::SolveResult;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,10 +256,6 @@ fn scan_candidates(
 /// running counters for the current batch, and its outcome buffer.
 struct Lane<'nl> {
     batch: WindowBatch<'nl>,
-    /// Per-window solver totals under `certify` (which cannot share a
-    /// solver — each check logs its own DRAT proof).
-    certify_total: SolverStats,
-    certify_checks: usize,
     /// Candidate checks attempted, prefiltered ones included.
     spec_attempts: usize,
     /// Wall-clock spent in checks (lane-side, not deterministic).
@@ -273,8 +269,6 @@ impl<'nl> Lane<'nl> {
     fn new(nl: &'nl Netlist, constraint: Option<Sig>, cfg: &SbifConfig) -> Self {
         Lane {
             batch: WindowBatch::new(nl, constraint, cfg),
-            certify_total: SolverStats::default(),
-            certify_checks: 0,
             spec_attempts: 0,
             sat_micros: 0,
             out: Vec::new(),
@@ -286,23 +280,13 @@ impl<'nl> Lane<'nl> {
     /// outcomes' per-check solver deltas are not used: lane solver
     /// effort is attributed per batch.
     fn scan_signal(&mut self, pass: &Pass<'_>, state: &ScanState, a: Sig) {
-        let Pass { nl, constraint, cfg, prefilter, .. } = *pass;
+        let Pass { nl, cfg, prefilter, .. } = *pass;
         let classes = &state.classes;
         scan_candidates(classes, &state.buckets, pass.sched.pos(), a, |b, eps| {
             let t0 = Instant::now();
-            let outcome =
-                match prefilter.and_then(|pf| pf.try_decide(nl, classes, a, b, eps, cfg.certify))
-                {
-                    Some(o) => o,
-                    None if cfg.certify => {
-                        // Proof logging needs a pristine solver per window.
-                        let o = check_window_pair(nl, classes, constraint, a, b, eps, cfg, None);
-                        self.certify_total.absorb(o.solver);
-                        self.certify_checks += 1;
-                        o
-                    }
-                    None => self.batch.check(classes, a, b, eps),
-                };
+            let outcome = prefilter
+                .and_then(|pf| pf.try_decide(nl, classes, a, b, eps, cfg.certify))
+                .unwrap_or_else(|| self.batch.check(classes, a, b, eps));
             self.sat_micros += t0.elapsed().as_micros();
             self.spec_attempts += 1;
             // Mirror the commit's gating: a rejected certificate does
@@ -317,11 +301,9 @@ impl<'nl> Lane<'nl> {
     /// Adds this lane's batch totals to `stats` and starts the next
     /// batch on a fresh solver, keeping the outcome buffer.
     fn close_batch(&mut self, pass: &Pass<'nl>, stats: &mut SbifStats) {
-        let mut total = self.batch.stats();
-        total.absorb(self.certify_total);
-        stats.solver.absorb(total);
+        stats.solver.absorb(self.batch.stats());
         stats.solver_inits += self.batch.solver_inits();
-        stats.batch_checks += self.batch.checks() + self.certify_checks;
+        stats.batch_checks += self.batch.checks();
         stats.spec_attempts += self.spec_attempts;
         stats.sat_micros += self.sat_micros;
         let out = std::mem::take(&mut self.out);

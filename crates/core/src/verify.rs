@@ -4,8 +4,8 @@
 use crate::error::VerifyError;
 use crate::rewrite::{BackwardRewriter, RewriteConfig, RewriteStats};
 use crate::sbif::{
-    forward_information, try_divider_sim_words, EquivClasses, SbifConfig, SbifHooks,
-    SbifPrefilter, SbifStats,
+    constrained_solver, forward_information, try_divider_sim_words, EquivClasses, SbifConfig,
+    SbifHooks, SbifPrefilter, SbifStats,
 };
 use crate::spec::divider_spec;
 use crate::vc2::{check_vc2_governed, Vc2Report};
@@ -552,7 +552,6 @@ impl<'a> DividerVerifier<'a> {
         Ok(AnalysisConfig {
             constraint: Some(self.divider.constraint),
             shadow_planes: Some(shadow),
-            ..AnalysisConfig::default()
         })
     }
 
@@ -710,7 +709,7 @@ impl<'a> DividerVerifier<'a> {
         &self,
         residual: &sbif_poly::Poly,
     ) -> Result<(Vc1Outcome, CertStats), VerifyError> {
-        use sbif_sat::{NetlistEncoder, SolveResult, Solver};
+        use sbif_sat::SolveResult;
         let div = self.divider;
         let mut cert = CertStats::default();
         let support = residual.support();
@@ -720,14 +719,8 @@ impl<'a> DividerVerifier<'a> {
         if support.len() > 16 || !all_inputs {
             return Ok((self.find_counterexample(residual)?, cert));
         }
-        let mut solver = Solver::new();
-        if self.config.sbif.certify {
-            solver.enable_proof_log();
-        }
-        let mut enc = NetlistEncoder::new(&div.netlist);
-        enc.encode_cone(&mut solver, &div.netlist, div.constraint);
-        let lc = enc.lit(&mut solver, div.constraint);
-        solver.add_clause([lc]);
+        let (mut solver, mut enc) =
+            constrained_solver(&div.netlist, Some(div.constraint), self.config.sbif.certify);
         let lits: Vec<_> = support
             .iter()
             .map(|v| enc.lit(&mut solver, sbif_netlist::Sig(v.0)))

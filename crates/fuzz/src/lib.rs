@@ -7,7 +7,7 @@
 //! * [`mutate`] — classic gate-level fault models (operator flip, input
 //!   swap/negation, stuck-at-0/1, wire cross-connect, per-cell
 //!   off-by-one) applied to generated dividers,
-//! * [`classify`] — a simulation-then-SAT equivalence filter that sorts
+//! * [`classify`](mod@classify) — a simulation-then-SAT equivalence filter that sorts
 //!   each mutant into *benign* (equivalent on every input), *benign
 //!   under C* (equivalent only on constraint-satisfying inputs) or
 //!   *semantics-changing*,

@@ -251,11 +251,6 @@ impl Solver {
         self.proof.as_deref()
     }
 
-    /// Removes and returns the recorded proof, disabling further logging.
-    pub fn take_proof(&mut self) -> Option<ProofLog> {
-        self.proof.take().map(|b| *b)
-    }
-
     /// After an UNSAT answer from [`solve_assuming`](Self::solve_assuming)
     /// or [`solve_with`](Self::solve_with): the final conflict clause in
     /// MiniSat's sense — a subset of the *negated* assumption literals

@@ -60,11 +60,6 @@ impl NetlistEncoder {
         Lit::pos(v)
     }
 
-    /// Whether the gate of `s` has been encoded already.
-    pub fn is_encoded(&self, s: Sig) -> bool {
-        self.encoded[s.index()]
-    }
-
     /// The literal of `s` if a variable was already allocated for it
     /// (no allocation side effect) — useful for reading back models.
     pub fn peek_lit(&self, s: Sig) -> Option<Lit> {
@@ -78,52 +73,69 @@ impl NetlistEncoder {
             return;
         }
         self.encoded[s.index()] = true;
+        self.emit_gate(solver, nl, s, None, Self::lit);
+    }
+
+    /// Emits the CNF clauses constraining `s` to its gate function, with
+    /// `fanin` supplying each fanin's literal. `s`'s literal is
+    /// allocated first, then the fanins' in order. With a `guard`, every
+    /// clause is activation-guarded
+    /// ([`Solver::add_clause_activated`]). Unlike
+    /// [`encode_gate`](Self::encode_gate) this ignores and leaves alone
+    /// the encoded marks, so a gate may be emitted any number of times:
+    /// SBIF's windows emit gates over class-representative fanins, once
+    /// per check.
+    pub fn emit_gate(
+        &mut self,
+        solver: &mut Solver,
+        nl: &Netlist,
+        s: Sig,
+        guard: Option<Lit>,
+        mut fanin: impl FnMut(&mut Self, &mut Solver, Sig) -> Lit,
+    ) {
+        let clause = |solver: &mut Solver, lits: &[Lit]| match guard {
+            Some(g) => solver.add_clause_activated(g, lits.iter().copied()),
+            None => solver.add_clause(lits.iter().copied()),
+        };
         let out = self.lit(solver, s);
         match *nl.gate(s) {
             Gate::Input => {}
             Gate::Const(v) => {
-                solver.add_clause([if v { out } else { !out }]);
+                clause(solver, &[if v { out } else { !out }]);
             }
             Gate::Unary(op, a) => {
-                let la = self.lit(solver, a);
+                let la = fanin(self, solver, a);
                 let rhs = match op {
                     UnaryOp::Buf => la,
                     UnaryOp::Not => !la,
                 };
-                solver.add_clause([!out, rhs]);
-                solver.add_clause([out, !rhs]);
+                clause(solver, &[!out, rhs]);
+                clause(solver, &[out, !rhs]);
             }
             Gate::Binary(op, a, b) => {
-                let la = self.lit(solver, a);
-                let lb = self.lit(solver, b);
-                // Express everything as out' = x ∧ y with suitable
-                // polarities, except XOR/XNOR.
-                match op {
-                    BinOp::And => self.and_clauses(solver, out, la, lb),
-                    BinOp::Nand => self.and_clauses(solver, !out, la, lb),
-                    BinOp::Or => self.and_clauses(solver, !out, !la, !lb),
-                    BinOp::Nor => self.and_clauses(solver, out, !la, !lb),
-                    BinOp::AndNot => self.and_clauses(solver, out, la, !lb),
-                    BinOp::Xor => self.xor_clauses(solver, out, la, lb),
-                    BinOp::Xnor => self.xor_clauses(solver, !out, la, lb),
+                let la = fanin(self, solver, a);
+                let lb = fanin(self, solver, b);
+                // Everything but XOR/XNOR is `o = x ∧ y` with suitable
+                // polarities.
+                let (o, x, y) = match op {
+                    BinOp::And | BinOp::Xor => (out, la, lb),
+                    BinOp::Nand | BinOp::Xnor => (!out, la, lb),
+                    BinOp::Or => (!out, !la, !lb),
+                    BinOp::Nor => (out, !la, !lb),
+                    BinOp::AndNot => (out, la, !lb),
+                };
+                if matches!(op, BinOp::Xor | BinOp::Xnor) {
+                    clause(solver, &[!o, x, y]);
+                    clause(solver, &[!o, !x, !y]);
+                    clause(solver, &[o, !x, y]);
+                    clause(solver, &[o, x, !y]);
+                } else {
+                    clause(solver, &[!o, x]);
+                    clause(solver, &[!o, y]);
+                    clause(solver, &[o, !x, !y]);
                 }
             }
         }
-    }
-
-    /// `o = x ∧ y`.
-    fn and_clauses(&self, solver: &mut Solver, o: Lit, x: Lit, y: Lit) {
-        solver.add_clause([!o, x]);
-        solver.add_clause([!o, y]);
-        solver.add_clause([o, !x, !y]);
-    }
-
-    /// `o = x ⊕ y`.
-    fn xor_clauses(&self, solver: &mut Solver, o: Lit, x: Lit, y: Lit) {
-        solver.add_clause([!o, x, y]);
-        solver.add_clause([!o, !x, !y]);
-        solver.add_clause([o, !x, y]);
-        solver.add_clause([o, x, !y]);
     }
 
     /// Encodes the whole transitive fanin cone of `root` (including the
@@ -161,7 +173,9 @@ mod tests {
     #[test]
     fn encode_matches_simulation_per_gate() {
         // For every gate kind, the CNF must agree with simulation on all
-        // input combinations.
+        // input combinations — encoded plainly, and emitted under an
+        // activation guard, where it binds only while the guard is
+        // assumed.
         let mut nl = Netlist::new();
         let a = nl.input("a");
         let b = nl.input("b");
@@ -174,31 +188,43 @@ mod tests {
             nl.xnor(a, b),
             nl.and_not(a, b),
             nl.not(a),
+            nl.constant(false),
+            nl.constant(true),
         ];
         for &g in &gates {
             for av in [false, true] {
                 for bv in [false, true] {
                     let sim = nl.simulate_bool(&[av, bv]);
+                    // The assignment to (a, b, g), with g as simulated
+                    // (`agree`) or flipped.
+                    let assign = |enc: &mut NetlistEncoder, solver: &mut Solver, agree: bool| {
+                        let (la, lb, lg) =
+                            (enc.lit(solver, a), enc.lit(solver, b), enc.lit(solver, g));
+                        vec![
+                            if av { la } else { !la },
+                            if bv { lb } else { !lb },
+                            if sim[g.index()] == agree { lg } else { !lg },
+                        ]
+                    };
                     let mut solver = Solver::new();
                     let mut enc = NetlistEncoder::new(&nl);
                     enc.encode_cone(&mut solver, &nl, g);
-                    let (la, lb, lg) = (
-                        enc.lit(&mut solver, a),
-                        enc.lit(&mut solver, b),
-                        enc.lit(&mut solver, g),
-                    );
-                    let asg = [
-                        if av { la } else { !la },
-                        if bv { lb } else { !lb },
-                        if sim[g.index()] { lg } else { !lg },
-                    ];
-                    assert_eq!(solver.solve_assuming(&asg), SolveResult::Sat);
-                    let bad = [
-                        if av { la } else { !la },
-                        if bv { lb } else { !lb },
-                        if sim[g.index()] { !lg } else { lg },
-                    ];
+                    let good = assign(&mut enc, &mut solver, true);
+                    assert_eq!(solver.solve_assuming(&good), SolveResult::Sat);
+                    let bad = assign(&mut enc, &mut solver, false);
                     assert_eq!(solver.solve_assuming(&bad), SolveResult::Unsat);
+
+                    let mut solver = Solver::new();
+                    let mut enc = NetlistEncoder::new(&nl);
+                    let guard = solver.new_activation();
+                    enc.emit_gate(&mut solver, &nl, g, Some(guard), NetlistEncoder::lit);
+                    let good = assign(&mut enc, &mut solver, true);
+                    let bad = assign(&mut enc, &mut solver, false);
+                    let guarded = |lits: &[Lit]| [lits, &[guard]].concat();
+                    assert_eq!(solver.solve_assuming(&guarded(&good)), SolveResult::Sat);
+                    assert_eq!(solver.solve_assuming(&guarded(&bad)), SolveResult::Unsat);
+                    solver.retire_activation(guard);
+                    assert_eq!(solver.solve_assuming(&bad), SolveResult::Sat, "guard retired");
                 }
             }
         }

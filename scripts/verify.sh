@@ -36,6 +36,10 @@ cargo test -q --offline --locked --manifest-path ledger/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps --lib (rustdoc warnings are errors)"
+# A deleted or renamed item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> static-analysis gate (sbif-lint --strict)"
 # The framework-driven sbif-lint (DESIGN.md §14) in --strict mode over
 # every shipped netlist. Generated dividers legitimately carry dead

@@ -136,7 +136,6 @@ fn prefilter_prunes_windows_and_preserves_classes() {
         let acfg = AnalysisConfig {
             constraint: Some(div.constraint),
             shadow_planes: Some(shadow_sim.clone()),
-            ..AnalysisConfig::default()
         };
         let db = analyze(&div.netlist, &acfg, &Recorder::new());
         let pf = SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes };
