@@ -201,44 +201,6 @@ fn justify(
     (forced(a_can), forced(b_can))
 }
 
-/// Rebuilds `nl` with every ternary-known signal replaced by a constant
-/// driver, re-running the builder's folding so the constants cascade.
-/// Primary inputs are kept as inputs (the interface is preserved) even
-/// when the constraint forces them. Returns the new netlist and the
-/// old→new signal map.
-pub fn fold_constants(nl: &Netlist, values: &[Ternary]) -> (Netlist, Vec<Sig>) {
-    let mut out = Netlist::new();
-    let mut map: Vec<Sig> = Vec::with_capacity(nl.num_signals());
-    for s in nl.signals() {
-        let is_input = nl.gate(s).is_input();
-        let ns = if is_input {
-            match nl.name(s) {
-                Some(name) => out.input(name),
-                None => out.push_gate(Gate::Input),
-            }
-        } else if let Some(bit) = values[s.index()].known() {
-            out.constant(bit)
-        } else {
-            match *nl.gate(s) {
-                Gate::Input => unreachable!("handled above"),
-                Gate::Const(c) => out.constant(c),
-                Gate::Unary(op, a) => out.unary(op, map[a.index()]),
-                Gate::Binary(op, a, b) => out.binary(op, map[a.index()], map[b.index()]),
-            }
-        };
-        if !is_input && out.name(ns).is_none() {
-            if let Some(name) = nl.name(s) {
-                out.set_name(ns, name);
-            }
-        }
-        map.push(ns);
-    }
-    for (name, s) in nl.outputs() {
-        out.add_output(name, map[s.index()]);
-    }
-    (out, map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,25 +264,5 @@ mod tests {
         let cons = nl.push_gate(Gate::Binary(sbif_netlist::BinOp::And, x, nx));
         let r = propagate(&nl, Some(cons));
         assert!(r.conflicts > 0);
-    }
-
-    #[test]
-    fn fold_constants_preserves_semantics() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let b = nl.input("b");
-        let zero = nl.push_gate(Gate::Const(false));
-        let g = nl.push_gate(Gate::Binary(sbif_netlist::BinOp::Or, a, zero));
-        let h = nl.push_gate(Gate::Binary(sbif_netlist::BinOp::Nand, g, b));
-        nl.add_output("o", h);
-        let r = propagate(&nl, None);
-        let (folded, map) = fold_constants(&nl, &r.values);
-        assert!(folded.num_signals() <= nl.num_signals());
-        for bits in 0u64..4 {
-            let w = [bits & 1, (bits >> 1) & 1];
-            let full = nl.simulate64(&w);
-            let cut = folded.simulate64(&w);
-            assert_eq!(full[h.index()] & 1, cut[map[h.index()].index()] & 1, "bits={bits}");
-        }
     }
 }

@@ -93,12 +93,6 @@ impl Int {
         self.neg
     }
 
-    /// `true` iff `self > 0`.
-    #[inline]
-    pub fn is_positive(&self) -> bool {
-        !self.neg && !self.mag.is_empty()
-    }
-
     /// The sign of this integer.
     ///
     /// ```
@@ -135,15 +129,6 @@ impl Int {
                 (self.mag.len() as u32 - 1) * 64 + (64 - top.leading_zeros())
             }
         }
-    }
-
-    /// `true` iff the magnitude is an exact power of two.
-    pub fn is_pow2_magnitude(&self) -> bool {
-        if self.mag.is_empty() {
-            return false;
-        }
-        let top = *self.mag.last().expect("non-empty");
-        top.is_power_of_two() && self.mag[..self.mag.len() - 1].iter().all(|&l| l == 0)
     }
 
     /// Bit `i` of the magnitude.
@@ -194,7 +179,6 @@ mod tests {
         for k in [0u32, 1, 63, 64, 65, 127, 128, 200] {
             let p = Int::pow2(k);
             assert_eq!(p.bit_len(), k + 1, "k={k}");
-            assert!(p.is_pow2_magnitude());
             assert!(p.magnitude_bit(k));
             assert!(!p.magnitude_bit(k + 1));
             if k > 0 {
@@ -224,13 +208,5 @@ mod tests {
         assert_eq!(Int::from(2).bit_len(), 2);
         assert_eq!(Int::from(3).bit_len(), 2);
         assert_eq!(Int::from(-1024).bit_len(), 11);
-    }
-
-    #[test]
-    fn pow2_magnitude_detection() {
-        assert!(Int::from(-8).is_pow2_magnitude());
-        assert!(!Int::from(12).is_pow2_magnitude());
-        assert!(!Int::zero().is_pow2_magnitude());
-        assert!(!(Int::pow2(64) + Int::one()).is_pow2_magnitude());
     }
 }

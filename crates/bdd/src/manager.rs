@@ -768,48 +768,6 @@ impl BddManager {
         }
     }
 
-    /// Counts satisfying assignments of `f` over the declared variables.
-    ///
-    /// Returns the count as `f64` (exact for < 2^53).
-    pub fn sat_count(&self, f: Bdd) -> f64 {
-        let total_vars = self.num_vars() as u32;
-        let mut memo: crate::fasthash::FxHashMap<u32, f64> = Default::default();
-        // minterms(f) over the levels strictly below f's top level is
-        // computed on edges (complement included in the key): the
-        // complement of a child covers everything the child does not.
-        fn go(m: &BddManager, f: Bdd, memo: &mut crate::fasthash::FxHashMap<u32, f64>) -> f64 {
-            // Returns the fraction of assignments (over all levels below
-            // and including f's top level) satisfying f, times 2^(levels
-            // at or below f's top level)... expressed directly as the
-            // minterm count over levels [level(f), num_vars).
-            if f == BddManager::TRUE {
-                return 1.0;
-            }
-            if f == BddManager::FALSE {
-                return 0.0;
-            }
-            if let Some(&c) = memo.get(&f.0) {
-                return c;
-            }
-            let n = m.nodes[f.index()];
-            let parity = f.0 & 1;
-            let lvl = m.level_of(n.var);
-            let nvars = m.num_vars() as u32;
-            let (lo_e, hi_e) = (n.low.xor_complement(parity), n.high.xor_complement(parity));
-            let lo = go(m, lo_e, memo);
-            let hi = go(m, hi_e, memo);
-            let lo_lvl = m.level_of_node(lo_e).min(nvars);
-            let hi_lvl = m.level_of_node(hi_e).min(nvars);
-            let c = lo * (2f64).powi((lo_lvl - lvl - 1) as i32)
-                + hi * (2f64).powi((hi_lvl - lvl - 1) as i32);
-            memo.insert(f.0, c);
-            c
-        }
-        let count = go(self, f, &mut memo);
-        let top_lvl = self.level_of_node(f).min(total_vars);
-        count * (2f64).powi(top_lvl as i32)
-    }
-
     /// Level of a node's variable; terminals are at level `num_vars`.
     pub(crate) fn level_of_node(&self, f: Bdd) -> u32 {
         if self.is_const(f) {
@@ -1039,13 +997,17 @@ mod tests {
         let c = m.var(2);
         let ab = m.and(a, b);
         let f = m.or(ab, c);
-        // over 3 vars: a∧b (2 for c) + c (4) − a∧b∧c (1) = 5
-        assert_eq!(m.sat_count(f) as u64, 5);
-        assert_eq!(m.sat_count(BddManager::TRUE) as u64, 8);
-        assert_eq!(m.sat_count(BddManager::FALSE) as u64, 0);
+        // Satisfying assignments over the 3 variables, by evaluation.
+        let count = |m: &BddManager, f: Bdd| {
+            (0..8u32).filter(|bits| m.eval(f, |v| bits >> v & 1 == 1)).count()
+        };
+        // a∧b (2 for c) + c (4) − a∧b∧c (1) = 5
+        assert_eq!(count(&m, f), 5);
+        assert_eq!(count(&m, BddManager::TRUE), 8);
+        assert_eq!(count(&m, BddManager::FALSE), 0);
         // complement edges: |¬f| = 2^3 − |f|
         let nf = m.not(f);
-        assert_eq!(m.sat_count(nf) as u64, 3);
+        assert_eq!(count(&m, nf), 3);
     }
 
     #[test]

@@ -220,13 +220,6 @@ impl BddManager {
         self.or(f0, f1)
     }
 
-    /// Universal quantification over a single variable.
-    pub fn forall(&mut self, f: Bdd, v: VarId) -> Bdd {
-        let f1 = self.restrict(f, v, true);
-        let f0 = self.restrict(f, v, false);
-        self.and(f0, f1)
-    }
-
     /// One satisfying assignment as `(var, value)` pairs (for variables
     /// on the path; others are free), or `None` if `f` is FALSE.
     pub fn one_sat(&self, f: Bdd) -> Option<Vec<(VarId, bool)>> {
@@ -368,9 +361,7 @@ mod tests {
         let b = m.var(1);
         let f = m.and(a, b);
         assert_eq!(m.exists(f, 0), b);
-        assert_eq!(m.forall(f, 0), BddManager::FALSE);
         let g = m.or(a, b);
-        assert_eq!(m.forall(g, 0), b);
         assert_eq!(m.exists(g, 0), BddManager::TRUE);
     }
 

@@ -9,19 +9,22 @@
 //! * `table2` — the full comparison (SAT, sweeping CEC, read, SBIF,
 //!   rewrite, vc2).
 //!
+//! Every row runs the one flow of [`DividerVerifier`], set by its
+//! [`VerifierConfig`] (SBIF on or off, vc2 on or off, the rewriting
+//! trace), and reads the [`VerificationReport`].
+//!
 //! Absolute times differ from the paper's hardware; the shapes are the
 //! reproduction target.
 
 pub mod harness;
 
 use sbif_cec::{sat_cec, sweep_cec, CecResult};
-use sbif_core::rewrite::{BackwardRewriter, RewriteConfig};
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
-use sbif_core::spec::divider_spec;
-use sbif_core::vc2::check_vc2;
-use sbif_core::VerifyError;
-use sbif_govern::Watchdog;
-use sbif_netlist::build::{divider_miter, nonrestoring_divider, restoring_divider};
+use sbif_core::rewrite::RewriteConfig;
+use sbif_core::verify::{
+    DividerVerifier, VerificationReport, Vc1Outcome, Vc1Report, VerifierConfig,
+};
+use sbif_govern::{GovernConfig, Resource, Watchdog};
+use sbif_netlist::build::{divider_miter, nonrestoring_divider, restoring_divider, Divider};
 use sbif_netlist::io::{read_bnet, write_bnet};
 use sbif_sat::Budget;
 use sbif_trace::json::Value;
@@ -49,70 +52,54 @@ impl std::fmt::Display for Measured {
     }
 }
 
+/// The default flow with backward rewriting capped at `term_limit`
+/// terms by the governor's `rewrite_terms` budget: a blow-up ends in
+/// [`Vc1Outcome::Exhausted`] (a MEMOUT row) instead of an error, and the
+/// report keeps its SBIF columns.
+fn capped(term_limit: usize) -> VerifierConfig {
+    VerifierConfig {
+        rewrite: RewriteConfig { max_terms: None, ..RewriteConfig::default() },
+        govern: GovernConfig { rewrite_terms: Some(term_limit), ..GovernConfig::default() },
+        ..VerifierConfig::default()
+    }
+}
+
+/// Runs the verifier on a generated divider, which it must not reject.
+fn verify(div: &Divider, config: VerifierConfig) -> VerificationReport {
+    let report = DividerVerifier::new(div).with_config(config).verify();
+    report.unwrap_or_else(|e| panic!("n={}: unexpected error: {e}", div.n))
+}
+
+/// The rewriting peak of a proven vc1, or `None` on MEMOUT.
+fn peak(vc1: &Vc1Report) -> Option<usize> {
+    match &vc1.outcome {
+        Vc1Outcome::Proven => Some(vc1.rewrite.peak_terms),
+        Vc1Outcome::Exhausted(e) if e.resource == Resource::RewriteTerms => None,
+        other => panic!("vc1 must hold for the generated divider: {other:?}"),
+    }
+}
+
 /// One row of Table I: the peak size of plain (no-SBIF) backward
 /// rewriting, or `None` on MEMOUT at the given term limit.
 pub fn table1_peak(n: usize, term_limit: usize) -> Option<usize> {
-    let div = nonrestoring_divider(n);
-    let sp = divider_spec(&div);
-    match BackwardRewriter::new(&div.netlist)
-        .with_config(RewriteConfig { max_terms: Some(term_limit), ..Default::default() })
-        .run(sp)
-    {
-        Ok((res, stats)) => {
-            assert!(res.is_zero(), "vc1 must hold for the generated divider");
-            Some(stats.peak_terms)
-        }
-        Err(VerifyError::TermLimitExceeded { .. }) => None,
-        Err(e) => panic!("unexpected error: {e}"),
-    }
+    fig4_peak(n, false, term_limit)
 }
 
 /// The Fig. 3 series: polynomial size after every substitution of a
 /// plain backward-rewriting run.
 pub fn fig3_series(n: usize, term_limit: usize) -> Vec<usize> {
-    let div = nonrestoring_divider(n);
-    let sp = divider_spec(&div);
-    match BackwardRewriter::new(&div.netlist)
-        .with_config(RewriteConfig {
-            max_terms: Some(term_limit),
-            record_trace: true,
-            ..Default::default()
-        })
-        .run(sp)
-    {
-        Ok((_, stats)) => stats.trace,
-        Err(e) => panic!("raise the term limit for fig3: {e}"),
-    }
+    let mut config = VerifierConfig { use_sbif: false, check_vc2: false, ..capped(term_limit) };
+    config.rewrite.record_trace = true;
+    let vc1 = verify(&nonrestoring_divider(n), config).vc1;
+    assert!(peak(&vc1).is_some(), "raise the term limit for fig3");
+    vc1.rewrite.trace
 }
 
 /// One point of Fig. 4: peak polynomial size with or without SBIF.
 /// Returns `None` on MEMOUT.
 pub fn fig4_peak(n: usize, use_sbif: bool, term_limit: usize) -> Option<usize> {
-    if !use_sbif {
-        return table1_peak(n, term_limit);
-    }
-    let div = nonrestoring_divider(n);
-    let sim = divider_sim_words(&div, 0xD1_71DE5, 2);
-    let (classes, _) = forward_information(
-        &div.netlist,
-        Some(div.constraint),
-        &sim,
-        SbifConfig::default(),
-        &SbifHooks::default(),
-    );
-    let sp = divider_spec(&div);
-    match BackwardRewriter::new(&div.netlist)
-        .with_classes(&classes)
-        .with_config(RewriteConfig { max_terms: Some(term_limit), ..Default::default() })
-        .run(sp)
-    {
-        Ok((res, stats)) => {
-            assert!(res.is_zero(), "SBIF run must prove vc1");
-            Some(stats.peak_terms)
-        }
-        Err(VerifyError::TermLimitExceeded { .. }) => None,
-        Err(e) => panic!("unexpected error: {e}"),
-    }
+    let config = VerifierConfig { use_sbif, check_vc2: false, ..capped(term_limit) };
+    peak(&verify(&nonrestoring_divider(n), config).vc1)
 }
 
 /// One row of Table II.
@@ -131,7 +118,8 @@ pub struct Table2Row {
     pub sbif_equiv: usize,
     /// Window-SAT checks Alg. 1 performed (deterministic).
     pub sbif_checks: usize,
-    /// Time of Alg. 1 (col. 6).
+    /// The verifier's SBIF time (col. 6): the smoke check, the static
+    /// analysis and Alg. 1.
     pub sbif: Duration,
     /// Time of the modified backward rewriting (col. 7); `Memout` cannot
     /// occur with SBIF at these sizes.
@@ -153,7 +141,8 @@ pub struct Table2Config {
     /// Skip the two baselines entirely (for very large widths where they
     /// are known to time out — the paper's TO entries).
     pub skip_baselines: bool,
-    /// Term limit for the SBIF rewrite (MEMOUT safeguard).
+    /// Term limit for the SBIF rewrite (MEMOUT safeguard), enforced by
+    /// the governor's `rewrite_terms` budget.
     pub term_limit: usize,
 }
 
@@ -204,54 +193,28 @@ pub fn table2_row(n: usize, cfg: Table2Config) -> Table2Row {
     let read = t.elapsed();
     assert_eq!(parsed.num_signals(), div.netlist.num_signals());
 
-    // Columns 5–6: SBIF.
-    let t = Instant::now();
-    let sim = divider_sim_words(&div, 0xD1_71DE5, 2);
-    let (classes, sbif_stats) = forward_information(
-        &div.netlist,
-        Some(div.constraint),
-        &sim,
-        SbifConfig::default(),
-        &SbifHooks::default(),
-    );
-    let sbif = t.elapsed();
-
-    // Column 7: modified backward rewriting.
-    let sp = divider_spec(&div);
-    let t = Instant::now();
-    let mut rewrite_peak = 0;
-    let rewrite = match BackwardRewriter::new(&div.netlist)
-        .with_classes(&classes)
-        .with_config(RewriteConfig { max_terms: Some(cfg.term_limit), ..Default::default() })
-        .run(sp)
-    {
-        Ok((res, stats)) => {
-            assert!(res.is_zero(), "SBIF run must prove vc1 for n={n}");
-            rewrite_peak = stats.peak_terms;
-            Measured::Time(t.elapsed())
-        }
-        Err(VerifyError::TermLimitExceeded { .. }) => Measured::Memout,
-        Err(e) => panic!("unexpected error: {e}"),
+    // Columns 5–9: the verifier's flow.
+    let report = verify(&div, capped(cfg.term_limit));
+    let vc1 = &report.vc1;
+    let (rewrite, rewrite_peak) = match peak(vc1) {
+        Some(peak) => (Measured::Time(vc1.rewrite_time), peak),
+        None => (Measured::Memout, 0),
     };
-
-    // Columns 8–9: vc2 with BDDs.
-    let t = Instant::now();
-    let report = check_vc2(&div);
-    let vc2 = t.elapsed();
-    assert!(report.holds, "vc2 must hold for the generated divider");
+    let vc2 = report.vc2.as_ref().expect("vc2 runs after a proven or MEMOUT vc1");
+    assert!(vc2.holds, "vc2 must hold for the generated divider");
 
     Table2Row {
         n,
         sat,
         cec,
         read,
-        sbif_equiv: sbif_stats.proven,
-        sbif_checks: sbif_stats.sat_checks,
-        sbif,
+        sbif_equiv: vc1.sbif.proven,
+        sbif_checks: vc1.sbif.sat_checks,
+        sbif: vc1.sbif_time,
         rewrite,
         rewrite_peak,
-        vc2_nodes: report.peak_nodes,
-        vc2,
+        vc2_nodes: vc2.peak_nodes,
+        vc2: report.vc2_time,
     }
 }
 
@@ -340,28 +303,33 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 mod tests {
     use super::*;
 
+    // The exact values below are those the hand-composed flows of rev
+    // cd4c6bc measured; running the verifier must not move them.
+
     #[test]
     fn table1_small_widths() {
-        let p2 = table1_peak(2, 100_000).expect("n=2 fits");
-        let p4 = table1_peak(4, 100_000).expect("n=4 fits");
-        assert!(p4 > 10 * p2, "Table I growth: {p2} -> {p4}");
+        assert_eq!(table1_peak(2, 100_000), Some(21));
+        assert_eq!(table1_peak(4, 100_000), Some(4313));
         // A tiny limit must produce MEMOUT.
         assert_eq!(table1_peak(6, 100), None);
     }
 
     #[test]
     fn fig4_sbif_beats_plain() {
-        let plain = fig4_peak(5, false, 1_000_000).expect("fits");
-        let sbif = fig4_peak(5, true, 1_000_000).expect("fits");
-        assert!(sbif * 10 < plain, "SBIF {sbif} vs plain {plain}");
+        assert_eq!(fig4_peak(5, false, 1_000_000), Some(35_156));
+        assert_eq!(fig4_peak(5, true, 1_000_000), Some(40));
+        // MEMOUT without SBIF, not with it.
+        assert_eq!(fig4_peak(5, false, 1_000), None);
+        assert_eq!(fig4_peak(5, true, 1_000), Some(40));
     }
 
     #[test]
     fn fig3_series_ends_at_zero() {
         let series = fig3_series(4, 1_000_000);
-        assert!(!series.is_empty());
+        assert_eq!(series.len(), 94);
+        assert_eq!(series.iter().sum::<usize>(), 22_798);
+        assert_eq!(series.iter().copied().max(), table1_peak(4, 1_000_000));
         assert_eq!(*series.last().expect("nonempty"), 0);
-        assert!(series.iter().copied().max().expect("nonempty") > 100);
     }
 
     #[test]

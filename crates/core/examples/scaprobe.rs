@@ -1,7 +1,7 @@
-//! Measures the SCA-side Table II columns (read / #equiv / SBIF / rewrite).
-use sbif_core::rewrite::BackwardRewriter;
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifHooks};
-use sbif_core::spec::divider_spec;
+//! Measures the SCA-side Table II columns (read / #equiv / SBIF / rewrite):
+//! the verifier's flow with `check_vc2 = false`, for widths where vc2
+//! does not finish.
+use sbif_core::verify::{DividerVerifier, VerifierConfig};
 use sbif_netlist::build::nonrestoring_divider;
 use sbif_netlist::io::{read_bnet, write_bnet};
 use std::time::Instant;
@@ -14,24 +14,16 @@ fn main() {
     let parsed = read_bnet(&text).expect("parses");
     let read = t.elapsed();
     assert_eq!(parsed.num_signals(), div.netlist.num_signals());
-    let t = Instant::now();
-    let sim = divider_sim_words(&div, 0xD1_71DE5, 2);
-    let (classes, stats) = forward_information(
-        &div.netlist,
-        Some(div.constraint),
-        &sim,
-        SbifConfig::default(),
-        &SbifHooks::default(),
-    );
-    let sbif = t.elapsed();
-    let t = Instant::now();
-    let (res, st) = BackwardRewriter::new(&div.netlist)
-        .with_classes(&classes)
-        .run(divider_spec(&div))
-        .expect("fits");
-    assert!(res.is_zero());
+    let config = VerifierConfig { check_vc2: false, ..VerifierConfig::default() };
+    let report = DividerVerifier::new(&div).with_config(config).verify().expect("fits");
+    assert!(report.is_correct());
+    let vc1 = &report.vc1;
     println!(
         "n={n} read={:.2}s equiv={} sbif={:.2}s rewrite={:.2}s peak={}",
-        read.as_secs_f64(), stats.proven, sbif.as_secs_f64(), t.elapsed().as_secs_f64(), st.peak_terms
+        read.as_secs_f64(),
+        vc1.sbif.proven,
+        vc1.sbif_time.as_secs_f64(),
+        vc1.rewrite_time.as_secs_f64(),
+        vc1.rewrite.peak_terms
     );
 }

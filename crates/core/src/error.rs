@@ -23,7 +23,10 @@ pub enum VerifyError {
     /// Table II's TO entries are not this: they are the baselines'
     /// `CecResult::Unknown`.
     Timeout(Exhausted),
-    /// The netlist does not have the divider interface the flow expects.
+    /// The divider does not have the operand interface the flow samples
+    /// its stimulus through: `n < 2`, a dividend or divisor word that is
+    /// not `2n−2` or `n−1` bits wide, or a primary input that is not
+    /// exactly one bit of those words. Input names play no part.
     MalformedInterface(String),
 }
 

@@ -27,7 +27,7 @@ mod sim;
 pub use batch::WindowBatch;
 pub use classes::EquivClasses;
 pub use levels::LevelSchedule;
-pub use sim::{divider_sim_words, try_divider_sim_words};
+pub use sim::divider_sim_words;
 
 use sbif_analysis::{canon_of, relate, CanonForm};
 use sbif_cec::certify_solver_unsat;

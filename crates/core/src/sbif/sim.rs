@@ -12,36 +12,23 @@ use sbif_rng::XorShift64;
 /// divisor and a uniform `hi` (swapped when necessary), with uniform low
 /// dividend bits.
 ///
-/// The result is indexed `[input][word]` in the netlist's input order and
-/// can be fed directly to [`sbif_netlist::Netlist::simulate64`].
+/// Operand bit `i` is bit `i` of the divider's [`Divider::dividend`] or
+/// [`Divider::divisor`] word, whatever its input is named. The result is
+/// indexed `[input][word]` in the netlist's input order and can be fed
+/// directly to [`sbif_netlist::Netlist::simulate64`].
 ///
 /// # Panics
 ///
-/// Panics if an input is unnamed or not part of the `r0`/`d` buses; use
-/// [`try_divider_sim_words`] for externally supplied dividers.
+/// Panics if a primary input is no operand bit. `DividerVerifier`
+/// checks the interface before it samples and reports such a divider as
+/// `VerifyError::MalformedInterface`.
 pub fn divider_sim_words(div: &Divider, seed: u64, words: usize) -> Vec<Vec<u64>> {
-    try_divider_sim_words(div, seed, words).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`divider_sim_words`] for dividers that were not produced by the
-/// in-tree generators: instead of panicking on an input outside the
-/// `r0`/`d` buses (possible when a [`Divider`] is assembled by hand),
-/// the malformed input is reported.
-///
-/// # Errors
-///
-/// Describes the first unnamed, un-bus-indexed, or out-of-range input.
-pub fn try_divider_sim_words(
-    div: &Divider,
-    seed: u64,
-    words: usize,
-) -> Result<Vec<Vec<u64>>, String> {
     let n = div.n;
-    let num_lo = n - 1; // r0[0 .. n-2]
-    let num_hi = n - 1; // r0[n-1 .. 2n-3]
+    let num_lo = n - 1; // dividend bits 0 .. n-2
+    let num_hi = n - 1; // dividend bits n-1 .. 2n-3
     let num_d = n - 1;
     let mut rng = XorShift64::seed_from_u64(seed);
-    // bit planes, little endian per bus
+    // bit planes, little endian per operand
     let mut lo = vec![vec![0u64; words]; num_lo];
     let mut hi = vec![vec![0u64; words]; num_hi];
     let mut d = vec![vec![0u64; words]; num_d];
@@ -83,27 +70,20 @@ pub fn try_divider_sim_words(
             }
         }
     }
-    // Assemble in the netlist's input order.
+    // Each operand bit's plane by signal, then in the netlist's input
+    // order.
+    let mut planes = vec![None; div.netlist.num_signals()];
+    let dividend = div.dividend.iter().zip(lo.into_iter().chain(hi));
+    for (&s, plane) in dividend.chain(div.divisor.iter().zip(d)) {
+        planes[s.index()] = Some(plane);
+    }
     div.netlist
         .inputs()
         .iter()
         .map(|&s| {
-            let name = div
-                .netlist
-                .name(s)
-                .ok_or_else(|| format!("divider input {s} is unnamed"))?;
-            let (bus, idx) = name
-                .split_once('[')
-                .and_then(|(b, rest)| {
-                    Some((b, rest.strip_suffix(']')?.parse::<usize>().ok()?))
-                })
-                .ok_or_else(|| format!("divider input {name:?} is not bus-indexed"))?;
-            match bus {
-                "r0" if idx < num_lo => Ok(lo[idx].clone()),
-                "r0" if idx < num_lo + num_hi => Ok(hi[idx - num_lo].clone()),
-                "d" if idx < num_d => Ok(d[idx].clone()),
-                _ => Err(format!("unexpected divider input {name:?} for n = {n}")),
-            }
+            planes[s.index()]
+                .take()
+                .unwrap_or_else(|| panic!("divider input {s} is no operand bit"))
         })
         .collect()
 }
@@ -125,7 +105,9 @@ fn cmp_bits(a: &[bool], b: &[bool]) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbif_netlist::build::nonrestoring_divider;
+    use sbif_netlist::build::{array_divider, nonrestoring_divider, restoring_divider, srt_divider};
+    use sbif_netlist::io::{read_bnet, write_bnet};
+    use sbif_netlist::{Sig, Word};
 
     #[test]
     fn cmp_bits_orders() {
@@ -135,21 +117,75 @@ mod tests {
         assert_eq!(cmp_bits(&[true, true], &[true, true]), Equal);
     }
 
+    /// Asserts that every pattern of `planes` satisfies `div`'s
+    /// constraint `C`.
+    fn assert_satisfy_c(div: &Divider, planes: &[Vec<u64>], what: &str) {
+        assert_eq!(planes.len(), div.netlist.inputs().len());
+        for w in 0..planes[0].len() {
+            let plane: Vec<u64> = planes.iter().map(|v| v[w]).collect();
+            let vals = div.netlist.simulate64(&plane);
+            assert_eq!(
+                vals[div.constraint.index()],
+                u64::MAX,
+                "{what} word={w}: some pattern violates C"
+            );
+        }
+    }
+
+    /// The operands `(R⁰, D)` of every pattern of `planes`, read through
+    /// `div`'s words.
+    fn sampled_operands(div: &Divider, planes: &[Vec<u64>]) -> Vec<(u64, u64)> {
+        let inputs = div.netlist.inputs();
+        let value = |word: &Word, w: usize, k: usize| -> u64 {
+            let bit = |s: &Sig| {
+                let pos = inputs.iter().position(|t| t == s).expect("operand bits are inputs");
+                (planes[pos][w] >> k) & 1
+            };
+            word.iter().enumerate().map(|(i, s)| bit(s) << i).sum()
+        };
+        let mut operands = Vec::new();
+        for w in 0..planes[0].len() {
+            for k in 0..64 {
+                operands.push((value(&div.dividend, w, k), value(&div.divisor, w, k)));
+            }
+        }
+        operands
+    }
+
     #[test]
     fn all_patterns_satisfy_constraint() {
+        let builds: [fn(usize) -> Divider; 4] =
+            [nonrestoring_divider, restoring_divider, srt_divider, array_divider];
+        for build in builds {
+            for n in 2..=8 {
+                let div = build(n);
+                let what = format!("{:?} n={n}", div.kind);
+                assert_satisfy_c(&div, &divider_sim_words(&div, 42, 2), &what);
+            }
+        }
+    }
+
+    /// An imported divider whose inputs are declared in reverse order
+    /// samples the same operands as the generator's: the planes follow
+    /// the words, not the input order.
+    #[test]
+    fn reversed_input_declarations_sample_the_same_operands() {
         for n in [2usize, 3, 5, 8] {
             let div = nonrestoring_divider(n);
-            let words = divider_sim_words(&div, 42, 2);
-            assert_eq!(words.len(), div.netlist.inputs().len());
-            for w in 0..2 {
-                let plane: Vec<u64> = words.iter().map(|v| v[w]).collect();
-                let vals = div.netlist.simulate64(&plane);
-                assert_eq!(
-                    vals[div.constraint.index()],
-                    u64::MAX,
-                    "n={n} word={w}: some pattern violates C"
-                );
-            }
+            let text = write_bnet(&div.netlist);
+            let mut lines: Vec<&str> = text.lines().collect();
+            let first = lines.iter().position(|l| l.starts_with(".inputs")).expect("inputs");
+            let count = lines[first..].iter().take_while(|l| l.starts_with(".inputs")).count();
+            assert_eq!(count, 3 * n - 3, "the inputs are declared in one block");
+            lines[first..first + count].reverse();
+            let netlist = read_bnet(&lines.join("\n")).expect("parses");
+            let imported = Divider::from_netlist(netlist).expect("a divider");
+            let last_d = format!("d[{}]", n - 2);
+            assert_eq!(imported.netlist.name(imported.netlist.inputs()[0]), Some(&*last_d));
+            let planes = divider_sim_words(&imported, 42, 2);
+            assert_satisfy_c(&imported, &planes, &format!("imported n={n}"));
+            let generated = sampled_operands(&div, &divider_sim_words(&div, 42, 2));
+            assert_eq!(sampled_operands(&imported, &planes), generated, "n={n}");
         }
     }
 

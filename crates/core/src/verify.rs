@@ -4,7 +4,7 @@
 use crate::error::VerifyError;
 use crate::rewrite::{BackwardRewriter, RewriteConfig, RewriteStats};
 use crate::sbif::{
-    constrained_solver, forward_information, try_divider_sim_words, EquivClasses, SbifConfig,
+    constrained_solver, divider_sim_words, forward_information, EquivClasses, SbifConfig,
     SbifHooks, SbifPrefilter, SbifStats,
 };
 use crate::spec::divider_spec;
@@ -15,8 +15,18 @@ use sbif_cec::{certify_solver_unsat, CecResult};
 use sbif_check::CertStats;
 use sbif_govern::{CancelToken, Exhausted, GovernConfig, Resource, Verdict, Watchdog};
 use sbif_netlist::build::Divider;
+use sbif_netlist::{Sig, Word};
 use sbif_trace::{MetricsReport, Recorder};
 use std::time::{Duration, Instant};
+
+/// Seed of the flow's constrained stimulus: candidate detection samples
+/// it, and the smoke check, the analysis' shadow planes and the residual
+/// sampling each sample a seed derived from it.
+const SEED: u64 = 0xD1_71DE5;
+
+/// Simulation words (64 patterns each) of candidate detection and of the
+/// shadow planes.
+const SIM_WORDS: usize = 2;
 
 /// Configuration of the full verification flow.
 #[derive(Debug, Clone, Copy)]
@@ -30,10 +40,6 @@ pub struct VerifierConfig {
     pub sbif: SbifConfig,
     /// Backward rewriting configuration (term limit, tracing).
     pub rewrite: RewriteConfig,
-    /// Simulation words (64 patterns each) for candidate detection.
-    pub sim_words: usize,
-    /// RNG seed for the constrained simulation.
-    pub seed: u64,
     /// Skip SBIF entirely (plain backward rewriting — the failing
     /// baseline of Sect. III; expect blow-ups beyond tiny widths).
     pub use_sbif: bool,
@@ -56,8 +62,6 @@ impl Default for VerifierConfig {
         VerifierConfig {
             sbif: SbifConfig::default(),
             rewrite: RewriteConfig { max_terms: Some(20_000_000), ..RewriteConfig::default() },
-            sim_words: 2,
-            seed: 0xD1_71DE5,
             use_sbif: true,
             smoke_check: true,
             check_vc2: true,
@@ -211,21 +215,61 @@ pub struct DividerVerifier<'a> {
     recorder: Recorder,
 }
 
-/// Splits the `"bus[idx]"` name of a primary input. Generated and
-/// imported dividers always satisfy this; a hand-assembled [`Divider`]
-/// (the fault-injection subsystem builds them wholesale) may not, and
-/// must surface as an error rather than a panic.
-fn input_bus(nl: &sbif_netlist::Netlist, s: sbif_netlist::Sig) -> Result<(&str, u32), VerifyError> {
-    let name = nl.name(s).ok_or_else(|| {
-        VerifyError::MalformedInterface(format!("primary input {s} is unnamed"))
-    })?;
-    name.split_once('[')
-        .and_then(|(b, rest)| Some((b, rest.strip_suffix(']')?.parse::<u32>().ok()?)))
-        .ok_or_else(|| {
-            VerifyError::MalformedInterface(format!(
-                "primary input {name:?} is not a bus bit"
-            ))
-        })
+/// Checks the operand interface the flow samples its stimulus through:
+/// every primary input is exactly one bit of the dividend and divisor
+/// words, `n ≥ 2`, and the words are `2n−2` and `n−1` bits wide. A
+/// hand-assembled [`Divider`] (the fault-injection subsystem builds them
+/// wholesale) may break this and must surface as an error, not a panic.
+/// A word bit that is no signal of the netlist at all is a broken
+/// `Divider` value, not an interface, and panics like any out-of-range
+/// [`Sig`].
+fn check_interface(div: &Divider) -> Result<(), VerifyError> {
+    let malformed = |msg: String| Err(VerifyError::MalformedInterface(msg));
+    let (n, nl) = (div.n, &div.netlist);
+    let label = |s: Sig| nl.name(s).map_or_else(|| s.to_string(), |name| format!("{name:?}"));
+    let mut operand = vec![false; nl.num_signals()];
+    for &s in div.dividend.iter().chain(div.divisor.iter()) {
+        if !nl.gate(s).is_input() {
+            return malformed(format!("operand bit {s} is no primary input"));
+        }
+        if std::mem::replace(&mut operand[s.index()], true) {
+            return malformed(format!("primary input {} is two operand bits", label(s)));
+        }
+    }
+    if let Some(&s) = nl.inputs().iter().find(|s| !operand[s.index()]) {
+        return malformed(format!("primary input {} is in neither operand word", label(s)));
+    }
+    if n < 2 {
+        return malformed(format!("width n = {n} is below 2"));
+    }
+    let words = [("dividend", &div.dividend, 2 * n - 2), ("divisor", &div.divisor, n - 1)];
+    match words.into_iter().find(|(_, bits, width)| bits.len() != *width) {
+        Some((word, bits, width)) => malformed(format!(
+            "the {word} word has {} bits, expected {width} for n = {n}",
+            bits.len()
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The unsigned value of `word` when each of its bits is `bit(signal)`.
+fn word_value(word: &Word, bit: impl Fn(Sig) -> bool) -> Int {
+    let mut value = Int::zero();
+    for (i, &s) in word.iter().enumerate() {
+        if bit(s) {
+            value += Int::pow2(i as u32);
+        }
+    }
+    value
+}
+
+/// The refutation whose operands are read through `div`'s words, each
+/// bit as `bit(signal)`.
+fn refuted(div: &Divider, bit: impl Fn(Sig) -> bool) -> Vc1Outcome {
+    Vc1Outcome::Refuted {
+        dividend: word_value(&div.dividend, &bit),
+        divisor: word_value(&div.divisor, &bit),
+    }
 }
 
 impl<'a> DividerVerifier<'a> {
@@ -258,9 +302,12 @@ impl<'a> DividerVerifier<'a> {
     ///
     /// # Errors
     ///
+    /// [`VerifyError::MalformedInterface`] when the divider's operand
+    /// words do not cover its primary inputs exactly, and
     /// [`VerifyError::TermLimitExceeded`] when backward rewriting blows
     /// up (expected without SBIF beyond small widths).
     pub fn verify(&self) -> Result<VerificationReport, VerifyError> {
+        check_interface(self.divider)?;
         let g = self.config.govern;
         // The watchdog must stay alive for the whole run: dropping it
         // disarms.
@@ -405,12 +452,12 @@ impl<'a> DividerVerifier<'a> {
         // immediate counterexample instead of a polynomial blow-up.
         if self.config.smoke_check {
             let span = self.recorder.span("smoke");
-            let cex = self.simulation_counterexample()?;
+            let cex = self.simulation_counterexample();
             span.close();
-            if let Some((dividend, divisor)) = cex {
+            if let Some(outcome) = cex {
                 self.recorder.add("vc1.smoke_refuted", 1);
                 return Ok(Vc1Report {
-                    outcome: Vc1Outcome::Refuted { dividend, divisor },
+                    outcome,
                     sbif: SbifStats::default(),
                     rewrite: RewriteStats::default(),
                     sbif_time: t0.elapsed(),
@@ -424,11 +471,10 @@ impl<'a> DividerVerifier<'a> {
             // structural forms) prefilter the window checks without
             // changing the classes.
             let span = self.recorder.span("analysis");
-            let db = analyze(&div.netlist, &self.analysis_config()?, &self.recorder);
+            let db = analyze(&div.netlist, &self.analysis_config(), &self.recorder);
             span.close();
             let span = self.recorder.span("sbif");
-            let sim = try_divider_sim_words(div, self.config.seed, self.config.sim_words)
-                .map_err(VerifyError::MalformedInterface)?;
+            let sim = divider_sim_words(div, SEED, SIM_WORDS);
             // The governor's conflict budget is accounted commit-side
             // (cumulative absorbed solver conflicts), so the cut lands
             // on the same signal for every `--jobs` value. All-`None`
@@ -496,7 +542,7 @@ impl<'a> DividerVerifier<'a> {
                     // inputs. Decide that exactly when the residual's
                     // support is small; otherwise fall back to sampling.
                     let span = self.recorder.span("residual");
-                    let decided = self.decide_residual(&residual)?;
+                    let decided = self.decide_residual(&residual);
                     span.close();
                     decided
                 };
@@ -542,17 +588,11 @@ impl<'a> DividerVerifier<'a> {
     /// plus shadow stimulus planes from a seed disjoint from the
     /// candidate-detection planes, so prefilter refutations rest on
     /// independent evidence.
-    fn analysis_config(&self) -> Result<AnalysisConfig, VerifyError> {
-        let shadow = try_divider_sim_words(
-            self.divider,
-            self.config.seed ^ 0x511A_D0E5,
-            self.config.sim_words,
-        )
-        .map_err(VerifyError::MalformedInterface)?;
-        Ok(AnalysisConfig {
+    fn analysis_config(&self) -> AnalysisConfig {
+        AnalysisConfig {
             constraint: Some(self.divider.constraint),
-            shadow_planes: Some(shadow),
-        })
+            shadow_planes: Some(divider_sim_words(self.divider, SEED ^ 0x511A_D0E5, SIM_WORDS)),
+        }
     }
 
     /// Runs the static-analysis pipeline this verifier's flow would use
@@ -563,10 +603,12 @@ impl<'a> DividerVerifier<'a> {
     ///
     /// # Errors
     ///
-    /// [`VerifyError::MalformedInterface`] when the divider's input
-    /// naming prevents constrained stimulus generation.
+    /// [`VerifyError::MalformedInterface`] when the divider's operand
+    /// words do not cover its primary inputs exactly, as in
+    /// [`verify`](Self::verify).
     pub fn analysis_db(&self) -> Result<AnalysisDb, VerifyError> {
-        Ok(analyze(&self.divider.netlist, &self.analysis_config()?, &Recorder::new()))
+        check_interface(self.divider)?;
+        Ok(analyze(&self.divider.netlist, &self.analysis_config(), &Recorder::new()))
     }
 
     /// Records the deterministic vc1 metrics. Wall-clock numbers
@@ -658,37 +700,24 @@ impl<'a> DividerVerifier<'a> {
     }
 
     /// Simulates constrained random inputs and checks vc1 numerically;
-    /// returns the first violating `(dividend, divisor)` pair, if any.
-    fn simulation_counterexample(&self) -> Result<Option<(Int, Int)>, VerifyError> {
+    /// returns the refutation by the first violating input, if any.
+    fn simulation_counterexample(&self) -> Option<Vc1Outcome> {
         let div = self.divider;
-        let words = try_divider_sim_words(div, self.config.seed ^ 0xFACE, 1)
-            .map_err(VerifyError::MalformedInterface)?;
+        let words = divider_sim_words(div, SEED ^ 0xFACE, 1);
         let plane: Vec<u64> = words.iter().map(|v| v[0]).collect();
         let vals = div.netlist.simulate64(&plane);
-        let word_value = |w: &sbif_netlist::Word, k: u32| -> Int {
-            let mut acc = Int::zero();
-            for (i, &s) in w.iter().enumerate() {
-                if (vals[s.index()] >> k) & 1 == 1 {
-                    acc += Int::pow2(i as u32);
-                }
-            }
-            acc
-        };
         let wbits = div.remainder.len() as u32;
-        for k in 0..64 {
-            let q = word_value(&div.quotient, k);
-            let d = word_value(&div.divisor, k);
-            let r0 = word_value(&div.dividend, k);
-            let mut r = word_value(&div.remainder, k);
+        (0..64).find_map(|k| {
+            let bit = |s: Sig| (vals[s.index()] >> k) & 1 == 1;
+            let mut r = word_value(&div.remainder, bit);
             // two's complement sign
             if r.magnitude_bit(wbits - 1) {
                 r -= Int::pow2(wbits);
             }
-            if &(&q * &d) + &r != r0 {
-                return Ok(Some((r0, d)));
-            }
-        }
-        Ok(None)
+            let q = word_value(&div.quotient, bit);
+            let d = word_value(&div.divisor, bit);
+            (&(&q * &d) + &r != word_value(&div.dividend, bit)).then(|| refuted(div, bit))
+        })
     }
 
     /// Decides whether a non-zero residual still vanishes on every input
@@ -705,26 +734,18 @@ impl<'a> DividerVerifier<'a> {
     /// valid across the calls: learnt clauses are consequences of the
     /// formula alone, and each call's refutation is closed by its own
     /// failed-assumption units.
-    fn decide_residual(
-        &self,
-        residual: &sbif_poly::Poly,
-    ) -> Result<(Vc1Outcome, CertStats), VerifyError> {
+    fn decide_residual(&self, residual: &sbif_poly::Poly) -> (Vc1Outcome, CertStats) {
         use sbif_sat::SolveResult;
         let div = self.divider;
         let mut cert = CertStats::default();
         let support = residual.support();
-        let all_inputs = support
-            .iter()
-            .all(|v| div.netlist.gate(sbif_netlist::Sig(v.0)).is_input());
+        let all_inputs = support.iter().all(|v| div.netlist.gate(Sig(v.0)).is_input());
         if support.len() > 16 || !all_inputs {
-            return Ok((self.find_counterexample(residual)?, cert));
+            return (self.find_counterexample(residual), cert);
         }
         let (mut solver, mut enc) =
             constrained_solver(&div.netlist, Some(div.constraint), self.config.sbif.certify);
-        let lits: Vec<_> = support
-            .iter()
-            .map(|v| enc.lit(&mut solver, sbif_netlist::Sig(v.0)))
-            .collect();
+        let lits: Vec<_> = support.iter().map(|v| enc.lit(&mut solver, Sig(v.0))).collect();
         for (bits, value) in residual_values(residual, &support).iter().enumerate() {
             if value.is_zero() {
                 continue;
@@ -739,67 +760,34 @@ impl<'a> DividerVerifier<'a> {
                 cert.record(&certify_solver_unsat(&solver));
             }
             if result == SolveResult::Sat {
-                // A valid input on which SP ≠ 0: reconstruct the values.
-                let mut dividend = Int::zero();
-                let mut divisor = Int::zero();
-                for &s in div.netlist.inputs() {
-                    let val = enc
-                        .peek_lit(s)
-                        .and_then(|l| solver.model_lit(l))
-                        .unwrap_or(false);
-                    if !val {
-                        continue;
-                    }
-                    let (bus, idx) = input_bus(&div.netlist, s)?;
-                    match bus {
-                        "r0" => dividend += Int::pow2(idx),
-                        _ => divisor += Int::pow2(idx),
-                    }
-                }
-                return Ok((Vc1Outcome::Refuted { dividend, divisor }, cert));
+                // A valid input on which SP ≠ 0: read it off the model.
+                let bit = |s| enc.peek_lit(s).and_then(|l| solver.model_lit(l)).unwrap_or(false);
+                return (refuted(div, bit), cert);
             }
         }
         // No C-satisfying input makes the residual non-zero: proven.
-        Ok((Vc1Outcome::Proven, cert))
+        (Vc1Outcome::Proven, cert)
     }
 
     /// Samples valid inputs and evaluates the residual polynomial; any
     /// non-zero value is a definite counterexample to vc1.
-    fn find_counterexample(&self, residual: &sbif_poly::Poly) -> Result<Vc1Outcome, VerifyError> {
+    fn find_counterexample(&self, residual: &sbif_poly::Poly) -> Vc1Outcome {
         let div = self.divider;
-        let words = try_divider_sim_words(div, self.config.seed ^ 0x5eed, 4)
-            .map_err(VerifyError::MalformedInterface)?;
-        let inputs = div.netlist.inputs();
-        #[allow(clippy::needless_range_loop)] // w indexes every input's word list
+        let words = divider_sim_words(div, SEED ^ 0x5eed, 4);
+        // Each input's stimulus by signal; other signals read 0.
+        let mut stimulus = vec![None; div.netlist.num_signals()];
+        for (&s, planes) in div.netlist.inputs().iter().zip(&words) {
+            stimulus[s.index()] = Some(planes);
+        }
         for w in 0..words.first().map_or(0, |v| v.len()) {
             for k in 0..64 {
-                let bit_of = |sig_idx: usize| -> bool {
-                    inputs
-                        .iter()
-                        .position(|s| s.index() == sig_idx)
-                        .map(|pos| (words[pos][w] >> k) & 1 == 1)
-                        .unwrap_or(false)
-                };
-                let value = residual.eval(|v| bit_of(v.index()));
-                if !value.is_zero() {
-                    // Reconstruct the concrete dividend/divisor.
-                    let mut dividend = Int::zero();
-                    let mut divisor = Int::zero();
-                    for (pos, &s) in inputs.iter().enumerate() {
-                        if (words[pos][w] >> k) & 1 == 0 {
-                            continue;
-                        }
-                        let (bus, idx) = input_bus(&div.netlist, s)?;
-                        match bus {
-                            "r0" => dividend += Int::pow2(idx),
-                            _ => divisor += Int::pow2(idx),
-                        }
-                    }
-                    return Ok(Vc1Outcome::Refuted { dividend, divisor });
+                let bit = |s: Sig| stimulus[s.index()].is_some_and(|p| (p[w] >> k) & 1 == 1);
+                if !residual.eval(|v| bit(Sig(v.0))).is_zero() {
+                    return refuted(div, bit);
                 }
             }
         }
-        Ok(Vc1Outcome::Inconclusive { residual_terms: residual.num_terms() })
+        Vc1Outcome::Inconclusive { residual_terms: residual.num_terms() }
     }
 }
 
@@ -834,7 +822,7 @@ fn residual_values(residual: &sbif_poly::Poly, support: &[sbif_poly::Var]) -> Ve
 mod tests {
     use super::*;
     use sbif_netlist::build::nonrestoring_divider;
-    use sbif_netlist::{BinOp, Gate, Netlist, Sig};
+    use sbif_netlist::{BinOp, Gate, Netlist};
     use sbif_poly::{Monomial, Poly, Var};
     use sbif_rng::XorShift64;
 
@@ -1013,48 +1001,93 @@ mod tests {
         assert_eq!(caught, checked, "every real bug must be caught");
     }
 
-    /// A hand-assembled divider whose inputs are not `r0[i]`/`d[i]` bus
-    /// bits must be reported as malformed, not crash the process — the
-    /// fault-injection campaign feeds such netlists on purpose.
-    #[test]
-    fn non_bus_input_names_error_instead_of_panicking() {
-        let mut div = nonrestoring_divider(3);
-        let s = div.netlist.inputs()[0];
-        div.netlist.set_name(s, "weird");
-        let err = DividerVerifier::new(&div).verify().expect_err("malformed");
-        assert!(matches!(err, VerifyError::MalformedInterface(_)), "{err}");
-        assert!(err.to_string().contains("weird"));
-        // The symbolic path (smoke check disabled) must error the same way.
-        let cfg = VerifierConfig { smoke_check: false, ..VerifierConfig::default() };
-        let err = DividerVerifier::new(&div).with_config(cfg).verify().expect_err("malformed");
-        assert!(matches!(err, VerifyError::MalformedInterface(_)), "{err}");
+    /// `div` with input `victim` unnamed: the netlist is copied gate for
+    /// gate, so every signal keeps its index and the words stay valid.
+    fn unname_input(div: &Divider, victim: Sig) -> Divider {
+        let mut nl = Netlist::new();
+        for s in div.netlist.signals() {
+            let t = match (div.netlist.gate(s), div.netlist.name(s)) {
+                (Gate::Input, Some(name)) if s != victim => nl.input(name),
+                (g, name) => {
+                    let t = nl.push_gate(g.clone());
+                    if let (Some(name), false) = (name, g.is_input()) {
+                        nl.set_name(t, name);
+                    }
+                    t
+                }
+            };
+            assert_eq!(t, s, "copies keep signal indices");
+        }
+        for (name, s) in div.netlist.outputs() {
+            nl.add_output(name, *s);
+        }
+        Divider { netlist: nl, ..div.clone() }
     }
 
+    /// The flow reads its operands through the divider's words, never
+    /// through input names: with one operand input renamed, or unnamed,
+    /// a divider verifies with the same metrics bytes, and the symbolic
+    /// refutation of a broken one names the same counterexample.
     #[test]
-    fn unnamed_inputs_error_instead_of_panicking() {
-        // `push_gate(Gate::Input)` creates unnamed inputs — legal for a
-        // raw netlist, malformed as a divider interface.
-        let mut nl = Netlist::new();
-        for _ in 0..6 {
-            nl.push_gate(Gate::Input);
-        }
-        let ins = nl.inputs().to_vec();
-        let q = nl.and(ins[0], ins[1]);
-        nl.add_output("q[0]", q);
-        let div = Divider {
-            netlist: nl,
-            n: 3,
-            kind: sbif_netlist::build::DividerKind::Imported,
-            dividend: sbif_netlist::Word::new(ins[0..4].to_vec()),
-            divisor: sbif_netlist::Word::new(ins[4..6].to_vec()),
-            quotient: sbif_netlist::Word::new(vec![q; 3]),
-            remainder: sbif_netlist::Word::new(vec![q; 5]),
-            stage_signs: Vec::new(),
-            constraint: ins[0],
+    fn operand_input_names_do_not_change_the_run() {
+        let div = nonrestoring_divider(4);
+        let mut renamed = div.clone();
+        renamed.netlist.set_name(div.dividend[2], "weird");
+        let unnamed = unname_input(&div, div.divisor[0]);
+        assert_eq!(unnamed.netlist.name(div.divisor[0]), None);
+        let metrics = |d: &Divider| {
+            let report = DividerVerifier::new(d).verify().expect("well-formed");
+            assert!(report.is_correct());
+            report.metrics.to_json()
         };
-        let err = DividerVerifier::new(&div).verify().expect_err("malformed");
-        assert!(matches!(err, VerifyError::MalformedInterface(_)), "{err}");
-        assert!(err.to_string().contains("unnamed"));
+        let original = metrics(&div);
+        assert_eq!(metrics(&renamed), original);
+        assert_eq!(metrics(&unnamed), original);
+
+        let symbolic = VerifierConfig { smoke_check: false, check_vc2: false, ..Default::default() };
+        let refute = |d: &Divider| {
+            let broken = break_gate(d, d.quotient[1]).expect("rebuild");
+            let report = DividerVerifier::new(&broken).with_config(symbolic).verify();
+            report.expect("small").vc1.outcome
+        };
+        let outcome = refute(&div);
+        assert!(matches!(outcome, Vc1Outcome::Refuted { .. }), "{outcome:?}");
+        assert_eq!(refute(&renamed), outcome);
+    }
+
+    /// A divider whose words do not cover its primary inputs exactly,
+    /// or have the wrong widths, is malformed: `verify()`, with and
+    /// without the smoke check, and `analysis_db()` report it instead of
+    /// panicking. The fault-injection campaign feeds hand-assembled
+    /// dividers on purpose.
+    #[test]
+    fn words_that_miss_an_input_are_a_malformed_interface() {
+        let div = nonrestoring_divider(3);
+        let mut extra = div.clone();
+        extra.netlist.input("x");
+        let mut short = div.clone();
+        short.divisor = Word::new(div.divisor.bits()[1..].to_vec());
+        // Every input still one operand bit, but the words split wrongly.
+        let mut shifted = div.clone();
+        shifted.dividend = div.dividend.slice(0..3);
+        let moved = div.dividend[3];
+        shifted.divisor = std::iter::once(moved).chain(div.divisor.iter().copied()).collect();
+        let cases = [
+            (extra, "primary input \"x\" is in neither operand word"),
+            (short, "primary input \"d[0]\" is in neither operand word"),
+            (shifted, "the dividend word has 3 bits, expected 4 for n = 3"),
+        ];
+        for (broken, why) in &cases {
+            for smoke_check in [true, false] {
+                let cfg = VerifierConfig { smoke_check, ..VerifierConfig::default() };
+                let verifier = DividerVerifier::new(broken).with_config(cfg);
+                let err = verifier.verify().expect_err("malformed");
+                assert!(matches!(err, VerifyError::MalformedInterface(_)), "{err}");
+                assert!(err.to_string().contains(why), "{err}");
+            }
+            let err = DividerVerifier::new(broken).analysis_db().expect_err("malformed");
+            assert!(matches!(err, VerifyError::MalformedInterface(_)), "{err}");
+        }
     }
 
     #[test]

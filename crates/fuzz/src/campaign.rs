@@ -125,9 +125,16 @@ impl CampaignConfig {
     /// n = 8, every fault model, enough mutants for a meaningful
     /// kill-rate gate. It is not quick: ~18 min at `--jobs 1` on a
     /// 2-CPU host (1,079 s at rev 09f65f9), and 618–629 s of that is
-    /// one cell, non-restoring n = 8 stuck-at-1. SRT at n = 8 is past
-    /// its proven frontier and runs kill-only; the tighter term limit
-    /// makes its genuine blow-up aborts cheap.
+    /// one cell, non-restoring n = 8 stuck-at-1. That cell's time goes
+    /// to the benign filter, not to the verifier: of its 20 mutants,
+    /// site ordinal 12 comes back `Unknown` from [`classify`] at the
+    /// 200,000-conflict base budget and `BenignUnderC` only at 800,000
+    /// conflicts, and [`classify_escalating`] solves each rung's miter
+    /// from scratch (24–29 s, then 194–243 s, in two release-build
+    /// replays). The verifier proves that mutant in under 0.1 s, and
+    /// the other 19 classify in microseconds. SRT at n = 8 is past its
+    /// proven frontier and runs kill-only; the tighter term limit makes
+    /// its genuine blow-up aborts cheap.
     pub fn smoke(jobs: usize) -> Self {
         CampaignConfig {
             jobs: jobs.max(1),

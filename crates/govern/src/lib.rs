@@ -147,11 +147,6 @@ impl Verdict {
     pub fn is_proven(&self) -> bool {
         matches!(self, Verdict::Proven)
     }
-
-    /// `true` for [`Verdict::Inconclusive`].
-    pub fn is_inconclusive(&self) -> bool {
-        matches!(self, Verdict::Inconclusive { .. })
-    }
 }
 
 impl fmt::Display for Verdict {
@@ -367,7 +362,7 @@ mod tests {
                 limit: 5,
             },
         };
-        assert!(inc.is_inconclusive());
+        assert!(!inc.is_proven());
         assert!(inc.to_string().contains("sbif exhausted sat-conflicts"));
     }
 

@@ -71,15 +71,6 @@ impl Word {
         Word { bits: self.bits[range].to_vec() }
     }
 
-    /// The word shifted left by `k` (low bits filled with constant 0),
-    /// keeping all `len + k` bits.
-    pub fn shifted_left(&self, nl: &mut Netlist, k: usize) -> Word {
-        let z = nl.const0();
-        let mut bits = vec![z; k];
-        bits.extend_from_slice(&self.bits);
-        Word { bits }
-    }
-
     /// Zero-extends to `width` bits.
     ///
     /// # Panics
@@ -90,19 +81,6 @@ impl Word {
         let z = nl.const0();
         let mut bits = self.bits.clone();
         bits.resize(width, z);
-        Word { bits }
-    }
-
-    /// Sign-extends to `width` bits (replicating the MSB).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width < self.len()` or the word is empty.
-    pub fn sext(&self, width: usize) -> Word {
-        assert!(width >= self.len(), "cannot sign-extend {} to {width}", self.len());
-        let msb = self.msb();
-        let mut bits = self.bits.clone();
-        bits.resize(width, msb);
         Word { bits }
     }
 
@@ -157,16 +135,11 @@ mod tests {
     fn shifting_and_extension() {
         let mut nl = Netlist::new();
         let w = Word::inputs(&mut nl, "x", 2);
-        let sh = w.shifted_left(&mut nl, 3);
-        assert_eq!(sh.len(), 5);
-        assert_eq!(nl.const_value(sh[0]), Some(false));
-        assert_eq!(sh[3], w[0]);
-
         let zx = w.zext(&mut nl, 4);
+        assert_eq!(zx.len(), 4);
+        assert_eq!(zx[1], w[1]);
+        assert_eq!(nl.const_value(zx[2]), Some(false));
         assert_eq!(nl.const_value(zx[3]), Some(false));
-        let sx = w.sext(4);
-        assert_eq!(sx[3], w[1]);
-        assert_eq!(sx[2], w[1]);
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl Poly {
         }
     }
 
-    /// The constant term.
-    pub fn constant_term(&self) -> Int {
-        self.coeff(&Monomial::one())
-    }
-
     /// Removes the terms that contain `v` and returns them with `v`
     /// divided out. The kept terms stay in place and in order, and the
     /// returned quotient is canonical without sorting: removing the same
@@ -267,16 +262,6 @@ impl Poly {
             (bc, Int::one()),
             (abc, Int::from(-2)),
         ])
-    }
-
-    /// Sum of the absolute values of all coefficients — an upper bound on
-    /// `|p|`, occasionally useful for diagnostics.
-    pub fn coeff_l1(&self) -> Int {
-        let mut acc = Int::zero();
-        for t in &self.terms {
-            acc += t.coeff.abs();
-        }
-        acc
     }
 }
 
@@ -463,9 +448,8 @@ mod tests {
     fn coeff_lookup() {
         let p = &v(0).scale(&Int::from(7)) - &Poly::constant(3);
         assert_eq!(p.coeff(&Monomial::var(Var(0))), Int::from(7));
-        assert_eq!(p.constant_term(), Int::from(-3));
+        assert_eq!(p.coeff(&Monomial::one()), Int::from(-3));
         assert_eq!(p.coeff(&Monomial::var(Var(9))), Int::zero());
-        assert_eq!(p.coeff_l1(), Int::from(10));
     }
 
     #[test]

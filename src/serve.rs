@@ -93,7 +93,7 @@ pub fn flow_fingerprint(config: &VerifierConfig) -> String {
     c.govern = sbif_govern::GovernConfig::default();
     // Bump the version whenever the config's `Debug` rendering changes,
     // so entries written under the old rendering miss.
-    format!("sbif-verify-flow-v4 {c:?}")
+    format!("sbif-verify-flow-v5 {c:?}")
 }
 
 /// The content-addressed cache key of one (design, flow config) pair:
